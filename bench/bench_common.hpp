@@ -21,6 +21,7 @@
 #include "graph/datasets.hpp"
 #include "nn/engine.hpp"
 #include "nn/weights.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "tagnn/report.hpp"
@@ -77,7 +78,7 @@ inline void emit_bench_metrics(const std::string& bench_title) {
   }
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
   f << "{\n  \"schema\": \"tagnn.bench.v1\",\n  \"bench\": \""
-    << json_escape(bench_title) << "\",\n  \"scale\": " << scale()
+    << obs::json_escape(bench_title) << "\",\n  \"scale\": " << scale()
     << ",\n  \"snapshots\": " << snapshots() << ",\n  \"metrics\": ";
   snap.write_metrics_object(f, 2);
   f << "\n}\n";

@@ -296,7 +296,7 @@ void write_json(const Options& o, const std::vector<Entry>& entries) {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     os << (i == 0 ? "" : ",") << "\n    {\n"
-       << "      \"name\": \"" << json_escape(e.name) << "\",\n"
+       << "      \"name\": \"" << obs::json_escape(e.name) << "\",\n"
        << "      \"naive_sec\": " << e.naive.median_sec << ",\n"
        << "      \"opt_sec\": " << e.opt.median_sec << ",\n"
        << "      \"speedup\": " << e.speedup() << ",\n"

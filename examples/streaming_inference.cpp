@@ -6,8 +6,9 @@
 // side by side. The windowing/carry mechanics live in serve::Tenant +
 // nn/streaming.hpp; nothing is duplicated here.
 //
-// Takes the shared telemetry flags (obs/cli.hpp), so it doubles as the
-// smallest host of the live telemetry plane:
+// Takes the live-plane subset of the shared telemetry flags
+// (obs/cli.hpp), so it doubles as the smallest host of the live
+// telemetry plane:
 //   streaming_inference --live-port 0 --live-linger-ms 30000
 // serves /metrics and /snapshot.json while the stream runs.
 #include <iostream>
@@ -26,12 +27,18 @@
 
 int main(int argc, char** argv) {
   using namespace tagnn;
+  // Only the live plane is wired up here: no metrics file, trace,
+  // report or ledger is written, so those flags are refused.
+  constexpr unsigned kHonoured = obs::kNoTelemetry | obs::kLivePort |
+                                 obs::kLiveIntervalMs | obs::kLiveLingerMs |
+                                 obs::kFlightRecorder;
   obs::TelemetryCliOptions tel;
   try {
     const std::vector<std::string> args = obs::split_eq_flags(argc, argv);
     for (std::size_t i = 1; i < args.size(); ++i) {
-      if (!obs::consume_telemetry_flag(args, i, tel)) {
-        std::cerr << "usage: " << argv[0] << "\n" << obs::telemetry_usage();
+      if (!obs::consume_telemetry_flag(args, i, tel, kHonoured)) {
+        std::cerr << "usage: " << argv[0] << "\n"
+                  << obs::telemetry_usage(kHonoured);
         return 2;
       }
     }

@@ -7,7 +7,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 
 namespace tagnn::obs::analyze {
 namespace {

@@ -6,7 +6,7 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 
 namespace tagnn::obs::analyze {
 namespace {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 
 namespace tagnn::obs::analyze {
 

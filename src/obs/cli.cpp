@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -54,17 +55,25 @@ std::vector<std::string> split_eq_flags(int argc, char** argv) {
 }
 
 bool consume_telemetry_flag(const std::vector<std::string>& args,
-                            std::size_t& i, TelemetryCliOptions& o) {
+                            std::size_t& i, TelemetryCliOptions& o,
+                            unsigned honoured) {
   const std::string& a = args[i];
-  if (a == "--metrics-out") {
+  const auto is = [&](const char* name, TelemetryFlag bit) {
+    if (a != name) return false;
+    if ((honoured & bit) == 0) {
+      throw std::invalid_argument(a + " is not supported by this tool");
+    }
+    return true;
+  };
+  if (is("--metrics-out", kMetricsOut)) {
     o.metrics_out = need_value(args, i, a);
     return true;
   }
-  if (a == "--trace-out") {
+  if (is("--trace-out", kTraceOut)) {
     o.trace_out = need_value(args, i, a);
     return true;
   }
-  if (a == "--metrics-format") {
+  if (is("--metrics-format", kMetricsOut)) {
     const std::string f = need_value(args, i, a);
     if (f != "json" && f != "csv") {
       throw std::invalid_argument("--metrics-format must be json or csv, got '" +
@@ -73,43 +82,64 @@ bool consume_telemetry_flag(const std::vector<std::string>& args,
     o.metrics_format = f;
     return true;
   }
-  if (a == "--report-out") {
+  if (is("--report-out", kReportOut)) {
     o.report_out = need_value(args, i, a);
     return true;
   }
-  if (a == "--ledger") {
+  if (is("--ledger", kLedger)) {
     o.ledger = need_value(args, i, a);
     return true;
   }
-  if (a == "--no-telemetry") {
+  if (is("--no-telemetry", kNoTelemetry)) {
     o.disable_telemetry = true;
     return true;
   }
-  if (a == "--live-port") {
+  if (is("--live-port", kLivePort)) {
     o.live_port = need_int(args, i, a, 0, 65535);
     return true;
   }
-  if (a == "--live-interval-ms") {
+  if (is("--live-interval-ms", kLiveIntervalMs)) {
     o.live_interval_ms = need_int(args, i, a, 1, 3600000);
     return true;
   }
-  if (a == "--live-linger-ms") {
+  if (is("--live-linger-ms", kLiveLingerMs)) {
     o.live_linger_ms = need_int(args, i, a, 0, 86400000);
     return true;
   }
-  if (a == "--flight-recorder") {
+  if (is("--flight-recorder", kFlightRecorder)) {
     o.flight_recorder = need_value(args, i, a);
     return true;
   }
   return false;
 }
 
-const char* telemetry_usage() {
-  return "       [--metrics-out FILE] [--metrics-format json|csv]\n"
-         "       [--trace-out FILE] [--no-telemetry]\n"
-         "       [--report-out FILE] [--ledger FILE]\n"
-         "       [--live-port PORT] [--live-interval-ms MS]\n"
-         "       [--live-linger-ms MS] [--flight-recorder FILE]\n";
+std::string telemetry_usage(unsigned honoured) {
+  static constexpr std::pair<TelemetryFlag, const char*> kUsage[] = {
+      {kMetricsOut, "[--metrics-out FILE]"},
+      {kMetricsOut, "[--metrics-format json|csv]"},
+      {kTraceOut, "[--trace-out FILE]"},
+      {kNoTelemetry, "[--no-telemetry]"},
+      {kReportOut, "[--report-out FILE]"},
+      {kLedger, "[--ledger FILE]"},
+      {kLivePort, "[--live-port PORT]"},
+      {kLiveIntervalMs, "[--live-interval-ms MS]"},
+      {kLiveLingerMs, "[--live-linger-ms MS]"},
+      {kFlightRecorder, "[--flight-recorder FILE]"},
+  };
+  // Two flags per line, as tools print their own options.
+  std::string out;
+  int on_line = 0;
+  for (const auto& [bit, text] : kUsage) {
+    if ((honoured & bit) == 0) continue;
+    out += on_line == 0 ? "       " : " ";
+    out += text;
+    if (++on_line == 2) {
+      out += "\n";
+      on_line = 0;
+    }
+  }
+  if (on_line != 0) out += "\n";
+  return out;
 }
 
 void write_metrics_file(const TelemetryCliOptions& o,

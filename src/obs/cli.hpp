@@ -48,19 +48,36 @@ struct TelemetryCliOptions {
   }
 };
 
+/// One bit per shared flag, so each tool can name the flags it honours.
+/// `kMetricsOut` covers --metrics-out and --metrics-format.
+enum TelemetryFlag : unsigned {
+  kMetricsOut = 1u << 0,
+  kTraceOut = 1u << 1,
+  kNoTelemetry = 1u << 2,
+  kReportOut = 1u << 3,
+  kLedger = 1u << 4,
+  kLivePort = 1u << 5,
+  kLiveIntervalMs = 1u << 6,
+  kLiveLingerMs = 1u << 7,
+  kFlightRecorder = 1u << 8,
+  kAllTelemetryFlags = (1u << 9) - 1,
+};
+
 /// Splits each "--flag=value" token into "--flag", "value" so parsers
 /// can treat both spellings alike. Non-flag tokens pass through.
 std::vector<std::string> split_eq_flags(int argc, char** argv);
 
 /// If args[i] is a telemetry flag, consumes it (and its value,
 /// advancing i past everything consumed) into `o` and returns true.
-/// Throws std::invalid_argument on a missing value or an unknown
-/// --metrics-format.
+/// Throws std::invalid_argument on a missing value, an unknown
+/// --metrics-format, or a flag outside `honoured` (a flag the tool
+/// would otherwise accept and silently ignore).
 bool consume_telemetry_flag(const std::vector<std::string>& args,
-                            std::size_t& i, TelemetryCliOptions& o);
+                            std::size_t& i, TelemetryCliOptions& o,
+                            unsigned honoured = kAllTelemetryFlags);
 
-/// One-line usage blurb for tools' --help output.
-const char* telemetry_usage();
+/// Usage lines for the `honoured` flags, for tools' --help output.
+std::string telemetry_usage(unsigned honoured = kAllTelemetryFlags);
 
 /// Writes the snapshot to o.metrics_out in o.metrics_format. Throws
 /// std::runtime_error when the file cannot be opened.

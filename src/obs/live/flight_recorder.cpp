@@ -9,7 +9,7 @@
 #include <exception>
 #include <sstream>
 
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "obs/mem/memtrack.hpp"
 #include "obs/metrics.hpp"
 

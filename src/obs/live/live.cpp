@@ -5,13 +5,48 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "obs/live/flight_recorder.hpp"
 #include "obs/live/openmetrics.hpp"
 #include "obs/mem/memtrack.hpp"
 #include "obs/metrics.hpp"
 
 namespace tagnn::obs::live {
+
+void write_memory_json(std::ostream& os, const mem::MemSnapshot& snap,
+                       const mem::ProcessMemStats& proc) {
+  os << "{\"schema\": \"tagnn.mem.v1\", \"process\": {\"rss_bytes\": "
+     << proc.rss_bytes << ", \"maxrss_bytes\": " << proc.maxrss_bytes
+     << ", \"vsize_bytes\": " << proc.vsize_bytes
+     << "}, \"totals\": {\"live_bytes\": " << snap.total_live_bytes()
+     << ", \"high_water_bytes\": " << snap.total_high_water_bytes()
+     << ", \"alloc_bytes\": " << snap.total_alloc_bytes()
+     << ", \"allocs\": " << snap.total_allocs()
+     << ", \"frees\": " << snap.total_frees() << "}, \"subsystems\": {";
+  bool first = true;
+  for (std::size_t i = 0; i < mem::kNumSubsystems; ++i) {
+    const mem::SubsystemStats& s = snap.subsystems[i];
+    if (!first) os << ", ";
+    first = false;
+    os << "\"" << mem::subsystem_name(static_cast<mem::Subsystem>(i))
+       << "\": {\"live_bytes\": " << s.live_bytes
+       << ", \"high_water_bytes\": " << s.high_water_bytes
+       << ", \"allocs\": " << s.allocs << ", \"frees\": " << s.frees
+       << ", \"alloc_bytes\": " << s.alloc_bytes
+       << ", \"freed_bytes\": " << s.freed_bytes << "}";
+  }
+  os << "}, \"domains\": {";
+  first = true;
+  for (std::size_t i = 1; i < snap.domains.size(); ++i) {
+    const mem::DomainStats& d = snap.domains[i];
+    if (d.name.empty()) continue;
+    if (!first) os << ", ";
+    first = false;
+    os << "\"" << json_escape(d.name) << "\": {\"live_bytes\": " << d.live_bytes
+       << ", \"high_water_bytes\": " << d.high_water_bytes << "}";
+  }
+  os << "}}";
+}
 
 LivePlane::LivePlane(LiveOptions opts)
     : opts_(std::move(opts)),
@@ -49,8 +84,8 @@ bool LivePlane::start(std::string* error) {
       // Fresh registry read (not the sampler ring): byte accounting is
       // always on, so /memory.json works even with telemetry gated off.
       std::ostringstream os;
-      mem::write_memory_json(os, mem::MemRegistry::global().snapshot(),
-                             mem::read_process_mem());
+      write_memory_json(os, mem::MemRegistry::global().snapshot(),
+                        mem::read_process_mem());
       os << "\n";
       return HttpResponse{200, "application/json; charset=utf-8", os.str()};
     });

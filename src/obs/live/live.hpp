@@ -20,13 +20,19 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <iosfwd>
 #include <mutex>
 #include <string>
 
 #include "obs/live/http.hpp"
 #include "obs/live/sampler.hpp"
+#include "obs/mem/memtrack.hpp"
 
 namespace tagnn::obs::live {
+
+/// Serialise a `tagnn.mem.v1` document (the /memory.json body).
+void write_memory_json(std::ostream& os, const mem::MemSnapshot& snap,
+                       const mem::ProcessMemStats& proc);
 
 struct LiveOptions {
   /// Port for the HTTP server; 0 = kernel-assigned ephemeral port,

@@ -1,10 +1,8 @@
 #include "obs/mem/memtrack.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
-#include <ostream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -26,39 +24,6 @@ std::mutex g_domain_mu;
 std::array<std::string, kMaxDomains>& domain_names() {
   static auto* names = new std::array<std::string, kMaxDomains>{};
   return *names;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -304,41 +269,6 @@ ProcessMemStats read_process_mem() noexcept {
   }
 #endif
   return out;
-}
-
-void write_memory_json(std::ostream& os, const MemSnapshot& snap,
-                       const ProcessMemStats& proc) {
-  os << "{\"schema\": \"tagnn.mem.v1\", \"process\": {\"rss_bytes\": "
-     << proc.rss_bytes << ", \"maxrss_bytes\": " << proc.maxrss_bytes
-     << ", \"vsize_bytes\": " << proc.vsize_bytes
-     << "}, \"totals\": {\"live_bytes\": " << snap.total_live_bytes()
-     << ", \"high_water_bytes\": " << snap.total_high_water_bytes()
-     << ", \"alloc_bytes\": " << snap.total_alloc_bytes()
-     << ", \"allocs\": " << snap.total_allocs()
-     << ", \"frees\": " << snap.total_frees() << "}, \"subsystems\": {";
-  bool first = true;
-  for (std::size_t i = 0; i < kNumSubsystems; ++i) {
-    const SubsystemStats& s = snap.subsystems[i];
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << subsystem_name(static_cast<Subsystem>(i))
-       << "\": {\"live_bytes\": " << s.live_bytes
-       << ", \"high_water_bytes\": " << s.high_water_bytes
-       << ", \"allocs\": " << s.allocs << ", \"frees\": " << s.frees
-       << ", \"alloc_bytes\": " << s.alloc_bytes
-       << ", \"freed_bytes\": " << s.freed_bytes << "}";
-  }
-  os << "}, \"domains\": {";
-  first = true;
-  for (std::size_t i = 1; i < snap.domains.size(); ++i) {
-    const DomainStats& d = snap.domains[i];
-    if (d.name.empty()) continue;
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << json_escape(d.name) << "\": {\"live_bytes\": " << d.live_bytes
-       << ", \"high_water_bytes\": " << d.high_water_bytes << "}";
-  }
-  os << "}}";
 }
 
 }  // namespace tagnn::obs::mem

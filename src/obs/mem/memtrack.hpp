@@ -40,7 +40,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <new>
 #include <string>
 #include <string_view>
@@ -285,9 +284,5 @@ struct ProcessMemStats {
 };
 
 ProcessMemStats read_process_mem() noexcept;
-
-/// Serialise a `tagnn.mem.v1` document (the /memory.json body).
-void write_memory_json(std::ostream& os, const MemSnapshot& snap,
-                       const ProcessMemStats& proc);
 
 }  // namespace tagnn::obs::mem

@@ -1,16 +1,14 @@
 #include "serve/protocol.hpp"
 
-#include <cstdio>
 #include <sstream>
 
-#include "obs/analyze/jparse.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 
 namespace tagnn::serve {
 
 namespace {
 
-using obs::analyze::JsonValue;
+using obs::JsonValue;
 
 bool parse_edge_list(const JsonValue& doc, std::string_view key,
                      std::vector<std::pair<VertexId, VertexId>>* out,
@@ -44,7 +42,7 @@ bool parse_doc(std::string_view body, JsonValue* doc, std::string* error) {
     *doc = JsonValue::make_object({});
     return true;
   }
-  if (!obs::analyze::json_parse(body, doc, error)) return false;
+  if (!obs::json_parse(body, doc, error)) return false;
   if (!doc->is_object()) {
     if (error) *error = "request body must be a JSON object";
     return false;
@@ -121,34 +119,15 @@ bool parse_infer(std::string_view body, InferCommand* out,
   return true;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string reply_json(const Reply& r) {
   std::ostringstream os;
   os << "{\"status\": \"" << to_string(r.status) << "\"";
-  if (!r.tenant.empty()) os << ", \"tenant\": \"" << json_escape(r.tenant) << "\"";
-  if (!r.error.empty()) os << ", \"error\": \"" << json_escape(r.error) << "\"";
+  if (!r.tenant.empty()) {
+    os << ", \"tenant\": \"" << obs::json_escape(r.tenant) << "\"";
+  }
+  if (!r.error.empty()) {
+    os << ", \"error\": \"" << obs::json_escape(r.error) << "\"";
+  }
   if (r.status == Status::kOk) {
     os << ", \"epoch\": " << r.epoch << ", \"snapshots\": " << r.snapshots
        << ", \"processed\": " << r.processed;

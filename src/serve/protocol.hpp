@@ -87,7 +87,4 @@ bool parse_infer(std::string_view body, InferCommand* out,
 /// through obs::write_json_number, so rendering is deterministic.
 std::string reply_json(const Reply& r);
 
-/// Minimal JSON string escaping for protocol/SLO documents.
-std::string json_escape(std::string_view s);
-
 }  // namespace tagnn::serve

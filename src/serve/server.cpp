@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "obs/mem/memtrack.hpp"
 
 namespace tagnn::serve {
@@ -283,7 +283,7 @@ std::string ServeCore::slo_json() const {
     const obs::mem::DomainStats mem_stats =
         dom < mem.domains.size() ? mem.domains[dom] : obs::mem::DomainStats{};
     if (i != 0) os << ", ";
-    os << "{\"name\": \"" << json_escape(host.tenant.name())
+    os << "{\"name\": \"" << obs::json_escape(host.tenant.name())
        << "\", \"accepted\": " << accepted << ", \"completed\": " << completed
        << ", \"shed\": " << shed << ", \"queue_depth\": " << depth
        << ", \"queue_limit\": " << host.tenant.config().max_queue
@@ -305,13 +305,13 @@ std::string ServeCore::tenants_json() const {
     const TenantHost& host = *hosts_[i];
     const TenantConfig& cfg = host.tenant.config();
     if (i != 0) os << ", ";
-    os << "{\"name\": \"" << json_escape(cfg.name) << "\", \"dataset\": \""
-       << json_escape(cfg.dataset) << "\", \"scale\": ";
+    os << "{\"name\": \"" << obs::json_escape(cfg.name) << "\", \"dataset\": \""
+       << obs::json_escape(cfg.dataset) << "\", \"scale\": ";
     obs::write_json_number(os, cfg.scale);
     const auto dom = static_cast<std::size_t>(host.tenant.mem_domain());
     const obs::mem::DomainStats mem_stats =
         dom < mem.domains.size() ? mem.domains[dom] : obs::mem::DomainStats{};
-    os << ", \"model\": \"" << json_escape(cfg.model)
+    os << ", \"model\": \"" << obs::json_escape(cfg.model)
        << "\", \"window\": " << cfg.engine.window_size
        << ", \"stream_snapshots\": " << cfg.stream_snapshots
        << ", \"max_queue\": " << cfg.max_queue

@@ -1,10 +1,9 @@
 #include "tagnn/report.hpp"
 
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "sim/memory.hpp"
 #include "tensor/kernel_registry.hpp"
 
@@ -63,52 +62,18 @@ obs::analyze::MemDiagnosis diagnose_memory(const MemReportContext& mem) {
   return obs::analyze::diagnose_memory(in);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream esc;
-          esc << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c);
-          out += esc.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_json_report(std::ostream& os, const std::string& workload,
                        const TagnnConfig& cfg, const AccelResult& r,
                        const MemReportContext& mem) {
   const OpCounts c = r.functional.total_counts();
   const auto num = [&os](double v) { obs::write_json_number(os, v); };
   os << "{\n"
-     << "  \"workload\": \"" << json_escape(workload) << "\",\n"
+     << "  \"workload\": \"" << obs::json_escape(workload) << "\",\n"
      << "  \"kernels\": {";
   const auto variants = kernels::registry().active_variants();
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << '"' << json_escape(variants[i].first)
-       << "\": \"" << json_escape(variants[i].second) << '"';
+    os << (i == 0 ? "" : ", ") << '"' << obs::json_escape(variants[i].first)
+       << "\": \"" << obs::json_escape(variants[i].second) << '"';
   }
   os << "},\n"
      << "  \"config\": {\n"
@@ -163,7 +128,7 @@ void write_json_report(std::ostream& os, const std::string& workload,
      << "    \"units\": {";
   for (std::size_t i = 0; i < r.telemetry.units.size(); ++i) {
     const auto& u = r.telemetry.units[i];
-    os << (i ? ", " : "") << "\"" << json_escape(u.name)
+    os << (i ? ", " : "") << "\"" << obs::json_escape(u.name)
        << "\": {\"busy_cycles\": " << u.busy
        << ", \"stall_cycles\": " << u.stall << "}";
   }
@@ -172,7 +137,7 @@ void write_json_report(std::ostream& os, const std::string& workload,
       [&os](const std::vector<PipelineSim::StageStats>& ss) {
         os << "{";
         for (std::size_t i = 0; i < ss.size(); ++i) {
-          os << (i ? ", " : "") << "\"" << json_escape(ss[i].name)
+          os << (i ? ", " : "") << "\"" << obs::json_escape(ss[i].name)
              << "\": {\"busy_cycles\": " << ss[i].busy
              << ", \"stall_cycles\": " << ss[i].stall << "}";
         }

@@ -64,7 +64,4 @@ std::string json_report(const std::string& workload, const TagnnConfig& cfg,
                         const AccelResult& result,
                         const MemReportContext& mem = {});
 
-/// Escapes a string for embedding in JSON (quotes, control chars).
-std::string json_escape(const std::string& s);
-
 }  // namespace tagnn

@@ -1,6 +1,6 @@
 // Tests for the diagnosis subsystem (src/obs/analyze): roofline
 // placement, cycle-stack attribution, the run ledger + drift detector,
-// the JSON reader, the HTML report, and the NaN/Inf-safe JSON plumbing.
+// the HTML report, and NaN/Inf-safe serialisation of metrics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,11 +11,10 @@
 #include <sstream>
 
 #include "obs/analyze/cycle_stack.hpp"
-#include "obs/analyze/jparse.hpp"
 #include "obs/analyze/ledger.hpp"
 #include "obs/analyze/report_html.hpp"
 #include "obs/analyze/roofline.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace tagnn::obs::analyze {
@@ -168,76 +167,6 @@ TEST(CycleStack, JsonOutputValidates) {
   write_cycle_stack_json(os, build_cycle_stack(in));
   std::string err;
   EXPECT_TRUE(json_valid(os.str(), &err)) << err;
-}
-
-// --- jparse -----------------------------------------------------------
-
-TEST(Jparse, ParsesNestedDocument) {
-  JsonValue v;
-  std::string err;
-  ASSERT_TRUE(json_parse(
-      R"({"a": 1.5, "b": [true, null, "xA"], "c": {"d": -2e3}})", &v,
-      &err))
-      << err;
-  EXPECT_DOUBLE_EQ(v.number_at("a"), 1.5);
-  const JsonValue* b = v.find("b");
-  ASSERT_NE(b, nullptr);
-  ASSERT_EQ(b->as_array().size(), 3u);
-  EXPECT_TRUE(b->as_array()[0].as_bool());
-  EXPECT_TRUE(b->as_array()[1].is_null());
-  EXPECT_EQ(b->as_array()[2].as_string(), "xA");
-  const JsonValue* c = v.find("c");
-  ASSERT_NE(c, nullptr);
-  EXPECT_DOUBLE_EQ(c->number_at("d"), -2000.0);
-}
-
-TEST(Jparse, RejectsMalformedAndNonFinite) {
-  JsonValue v;
-  EXPECT_FALSE(json_parse("{\"a\": }", &v));
-  EXPECT_FALSE(json_parse("[1, 2", &v));
-  EXPECT_FALSE(json_parse("NaN", &v));
-  EXPECT_FALSE(json_parse("[Infinity]", &v));
-  EXPECT_FALSE(json_parse("-Infinity", &v));
-}
-
-TEST(Jparse, DuplicateKeysKeepLastOccurrence) {
-  JsonValue v;
-  ASSERT_TRUE(json_parse(R"({"a": 1, "a": 2})", &v));
-  EXPECT_DOUBLE_EQ(v.number_at("a"), 2.0);
-}
-
-// --- jsonv hardening --------------------------------------------------
-
-TEST(JsonValid, RejectsBareNanAndInfinityTokens) {
-  EXPECT_FALSE(json_valid("NaN"));
-  EXPECT_FALSE(json_valid("Infinity"));
-  EXPECT_FALSE(json_valid("-Infinity"));
-  EXPECT_FALSE(json_valid("{\"x\": NaN}"));
-  EXPECT_FALSE(json_valid("[1, Infinity]"));
-  EXPECT_TRUE(json_valid("{\"x\": null}"));
-}
-
-TEST(WriteJsonNumber, NonFiniteBecomesNullAndCounts) {
-  reset_json_nonfinite_warnings();
-  std::ostringstream os;
-  write_json_number(os, std::numeric_limits<double>::quiet_NaN());
-  os << ",";
-  write_json_number(os, std::numeric_limits<double>::infinity());
-  os << ",";
-  write_json_number(os, 0.1);
-  EXPECT_EQ(os.str(), "null,null,0.1");
-  EXPECT_EQ(json_nonfinite_warnings(), 2u);
-  reset_json_nonfinite_warnings();
-  EXPECT_EQ(json_nonfinite_warnings(), 0u);
-}
-
-TEST(WriteJsonNumber, RoundTripsDoubles) {
-  for (const double v : {1.0 / 3.0, 1e-300, 6.5511111111111113e-06,
-                         -123456789.123456789, 2.2250738585072014e-308}) {
-    std::ostringstream os;
-    write_json_number(os, v);
-    EXPECT_DOUBLE_EQ(std::strtod(os.str().c_str(), nullptr), v) << os.str();
-  }
 }
 
 // --- metrics satellite: percentile accessors + CSV schema line --------

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/analyze/lint.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 
 namespace lint = tagnn::obs::analyze::lint;
 

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "obs/cli.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "obs/live/flight_recorder.hpp"
 #include "obs/live/http.hpp"
 #include "obs/live/live.hpp"
@@ -359,30 +359,6 @@ TEST(LivePlane, EndpointsRoundTrip) {
   plane.wait_linger(10000);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
   plane.stop();
-}
-
-// ----------------------------------------------------------------- jsonl
-
-TEST(JsonlValid, AcceptsLinesAndToleratesTornFinal) {
-  std::size_t lines = 0;
-  EXPECT_TRUE(obs::jsonl_valid("{\"a\": 1}\n{\"b\": 2}\n", nullptr, true,
-                               &lines));
-  EXPECT_EQ(lines, 2u);
-  // Blank lines (and CRLF endings) are fine.
-  EXPECT_TRUE(obs::jsonl_valid("{}\r\n\n  \n[1, 2]\n"));
-  // A torn final line without a newline is the crash signature —
-  // tolerated by default, rejected when asked to be strict.
-  const std::string torn = "{\"a\": 1}\n{\"b\": tru";
-  EXPECT_TRUE(obs::jsonl_valid(torn, nullptr, true, &lines));
-  EXPECT_EQ(lines, 1u);
-  std::string error;
-  EXPECT_FALSE(obs::jsonl_valid(torn, &error, false));
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-  // The same garbage mid-file is always an error.
-  EXPECT_FALSE(obs::jsonl_valid("{\"b\": tru\n{\"a\": 1}\n", &error, true));
-  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
-  // An empty file is a valid (if empty) log.
-  EXPECT_TRUE(obs::jsonl_valid(""));
 }
 
 // ------------------------------------------------------- flight recorder

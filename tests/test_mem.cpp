@@ -15,7 +15,8 @@
 
 #include "graph/generator.hpp"
 #include "obs/analyze/memfit.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
+#include "obs/live/live.hpp"
 #include "obs/mem/memtrack.hpp"
 
 namespace mem = tagnn::obs::mem;
@@ -247,7 +248,7 @@ TEST(MemJson, GoldenDocumentRoundTrips) {
   proc.vsize_bytes = 1 << 20;
 
   std::ostringstream os;
-  mem::write_memory_json(os, snap, proc);
+  tagnn::obs::live::write_memory_json(os, snap, proc);
   const std::string doc = os.str();
 
   std::string err;
@@ -277,8 +278,8 @@ TEST(MemJson, LiveRegistryDocumentValidates) {
   auto v = mem::tagged<int>(Subsystem::kCsr);
   v.resize(100);
   std::ostringstream os;
-  mem::write_memory_json(os, MemRegistry::global().snapshot(),
-                         mem::read_process_mem());
+  tagnn::obs::live::write_memory_json(
+      os, MemRegistry::global().snapshot(), mem::read_process_mem());
   std::string err;
   EXPECT_TRUE(tagnn::obs::json_valid(os.str(), &err)) << err;
 }

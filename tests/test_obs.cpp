@@ -14,7 +14,7 @@
 #include "common/thread_pool.hpp"
 #include "graph/datasets.hpp"
 #include "obs/cli.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
@@ -203,19 +203,6 @@ TEST(Trace, HostSpansUseActiveCollector) {
   EXPECT_TRUE(obs::json_valid(os.str(), &err)) << err;
 }
 
-TEST(JsonValid, AcceptsAndRejects) {
-  EXPECT_TRUE(obs::json_valid("{}"));
-  EXPECT_TRUE(obs::json_valid("[1, 2.5e-3, \"x\\n\", true, null]"));
-  EXPECT_TRUE(obs::json_valid("{\"a\": {\"b\": [{}]}}"));
-  std::string err;
-  EXPECT_FALSE(obs::json_valid("", &err));
-  EXPECT_FALSE(obs::json_valid("{", &err));
-  EXPECT_FALSE(obs::json_valid("{\"a\": 1,}", &err));
-  EXPECT_FALSE(obs::json_valid("[1] trailing", &err));
-  EXPECT_FALSE(obs::json_valid("NaN", &err));
-  EXPECT_FALSE(obs::json_valid("{'a': 1}", &err));
-}
-
 TEST(Cli, SplitEqAndConsumeFlags) {
   const char* argv[] = {"prog",           "--metrics-out=m.json",
                         "--trace-out",    "t.json",
@@ -244,6 +231,32 @@ TEST(Cli, BadMetricsFormatThrows) {
   std::size_t i = 0;
   EXPECT_THROW(obs::consume_telemetry_flag(args, i, o),
                std::invalid_argument);
+}
+
+TEST(Cli, RefusesFlagsTheToolDoesNotHonour) {
+  const std::vector<std::string> args = {"--live-port", "0", "--metrics-out",
+                                         "m.json"};
+  obs::TelemetryCliOptions o;
+  std::size_t i = 0;
+  EXPECT_THROW(obs::consume_telemetry_flag(args, i, o, obs::kMetricsOut),
+               std::invalid_argument);
+  EXPECT_EQ(o.live_port, -1);
+  i = 2;
+  EXPECT_TRUE(obs::consume_telemetry_flag(args, i, o, obs::kMetricsOut));
+  EXPECT_EQ(o.metrics_out, "m.json");
+
+  // --help lists exactly the honoured flags; the default lists all.
+  const std::string some =
+      obs::telemetry_usage(obs::kMetricsOut | obs::kFlightRecorder);
+  EXPECT_EQ(some,
+            "       [--metrics-out FILE] [--metrics-format json|csv]\n"
+            "       [--flight-recorder FILE]\n");
+  EXPECT_EQ(obs::telemetry_usage(),
+            "       [--metrics-out FILE] [--metrics-format json|csv]\n"
+            "       [--trace-out FILE] [--no-telemetry]\n"
+            "       [--report-out FILE] [--ledger FILE]\n"
+            "       [--live-port PORT] [--live-interval-ms MS]\n"
+            "       [--live-linger-ms MS] [--flight-recorder FILE]\n");
 }
 
 // Thread-pool observability: driving work through the pool itself (the

@@ -4,20 +4,11 @@
 #include <numeric>
 
 #include "graph/datasets.hpp"
-#include "obs/analyze/jparse.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "tagnn/report.hpp"
 
 namespace tagnn {
 namespace {
-
-TEST(JsonEscape, HandlesSpecialCharacters) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
-}
 
 TEST(Report, ContainsAllSections) {
   const DynamicGraph g = datasets::load("GT", 0.1, 4);
@@ -48,21 +39,21 @@ TEST(Report, IsValidJsonAndCarriesDiagnosis) {
   std::string err;
   ASSERT_TRUE(obs::json_valid(j, &err)) << err;
 
-  obs::analyze::JsonValue doc;
-  ASSERT_TRUE(obs::analyze::json_parse(j, &doc, &err)) << err;
-  const obs::analyze::JsonValue* diag = doc.find("diagnosis");
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::json_parse(j, &doc, &err)) << err;
+  const obs::JsonValue* diag = doc.find("diagnosis");
   ASSERT_NE(diag, nullptr);
-  const obs::analyze::JsonValue* roof = diag->find("roofline");
+  const obs::JsonValue* roof = diag->find("roofline");
   ASSERT_NE(roof, nullptr);
   const std::string verdict = roof->string_at("verdict");
   EXPECT_TRUE(verdict == "memory-bound" || verdict == "compute-bound")
       << verdict;
-  const obs::analyze::JsonValue* cs = diag->find("cycle_stack");
+  const obs::JsonValue* cs = diag->find("cycle_stack");
   ASSERT_NE(cs, nullptr);
 
   // Sum-to-total invariant, aggregate and every window.
-  const auto check_sums = [](const obs::analyze::JsonValue& stack) {
-    const obs::analyze::JsonValue* comps = stack.find("components");
+  const auto check_sums = [](const obs::JsonValue& stack) {
+    const obs::JsonValue* comps = stack.find("components");
     ASSERT_NE(comps, nullptr);
     double sum = 0;
     for (const auto& [name, c] : comps->as_object()) {
@@ -71,10 +62,10 @@ TEST(Report, IsValidJsonAndCarriesDiagnosis) {
     }
     EXPECT_DOUBLE_EQ(sum, stack.number_at("total"));
   };
-  const obs::analyze::JsonValue* agg = cs->find("aggregate");
+  const obs::JsonValue* agg = cs->find("aggregate");
   ASSERT_NE(agg, nullptr);
   check_sums(*agg);
-  const obs::analyze::JsonValue* wins = cs->find("windows");
+  const obs::JsonValue* wins = cs->find("windows");
   ASSERT_NE(wins, nullptr);
   ASSERT_TRUE(wins->is_array());
   EXPECT_FALSE(wins->as_array().empty());

@@ -20,8 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/analyze/jparse.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "obs/live/flight_recorder.hpp"
 #include "obs/live/http.hpp"
 #include "serve/protocol.hpp"
@@ -128,8 +127,8 @@ TEST(ServeProtocol, ReplyJsonIsValidAndEscaped) {
   const std::string body = serve::reply_json(r);
   std::string err;
   EXPECT_TRUE(obs::json_valid(body, &err)) << err << "\n" << body;
-  obs::analyze::JsonValue doc;
-  ASSERT_TRUE(obs::analyze::json_parse(body, &doc, &err)) << err;
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::json_parse(body, &doc, &err)) << err;
   EXPECT_EQ(doc.string_at("tenant"), "we\"ird\n");
   EXPECT_EQ(doc.string_at("status"), "bad_request");
 }
@@ -430,15 +429,15 @@ TEST(ServePlaneHttp, RoundTripAndErrorMapping) {
                        "{\"advance\": 3}");
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.status, 200);
-  obs::analyze::JsonValue doc;
-  ASSERT_TRUE(obs::analyze::json_parse(res.body, &doc, &error)) << error;
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::json_parse(res.body, &doc, &error)) << error;
   EXPECT_EQ(doc.number_at("snapshots"), 3.0);
 
   res = http_post("127.0.0.1", port, "/v1/infer?tenant=a",
                   "{\"vertices\": [0]}");
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.status, 200);
-  ASSERT_TRUE(obs::analyze::json_parse(res.body, &doc, &error)) << error;
+  ASSERT_TRUE(obs::json_parse(res.body, &doc, &error)) << error;
   EXPECT_NE(doc.string_at("digest"), "");
   ASSERT_TRUE(doc.find("rows") != nullptr);
   EXPECT_EQ(doc.find("rows")->as_array().size(), 1u);
@@ -458,12 +457,12 @@ TEST(ServePlaneHttp, RoundTripAndErrorMapping) {
   // the live plane's built-ins still answer next to the request plane.
   res = http_get("127.0.0.1", port, "/slo.json");
   ASSERT_EQ(res.status, 200);
-  ASSERT_TRUE(obs::analyze::json_parse(res.body, &doc, &error)) << error;
+  ASSERT_TRUE(obs::json_parse(res.body, &doc, &error)) << error;
   EXPECT_EQ(doc.string_at("schema"), "tagnn.slo.v1");
   EXPECT_GE(doc.find("requests")->number_at("accepted"), 2.0);
   res = http_get("127.0.0.1", port, "/v1/tenants");
   ASSERT_EQ(res.status, 200);
-  ASSERT_TRUE(obs::analyze::json_parse(res.body, &doc, &error)) << error;
+  ASSERT_TRUE(obs::json_parse(res.body, &doc, &error)) << error;
   EXPECT_EQ(doc.string_at("schema"), "tagnn.serve.tenants.v1");
   res = http_get("127.0.0.1", port, "/healthz");
   EXPECT_EQ(res.status, 200);

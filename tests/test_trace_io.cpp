@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include "graph/datasets.hpp"
 #include "graph/trace_io.hpp"
 #include "nn/engine.hpp"
+#include "obs/json.hpp"
 #include "tensor/ops.hpp"
 
 namespace tagnn {
@@ -94,6 +97,35 @@ TEST(TraceIo, RoundTrippedGraphRunsThroughEngines) {
   const EngineResult a = ReferenceEngine().run(g, w);
   const EngineResult b = ReferenceEngine().run(h, w);
   EXPECT_EQ(max_abs_diff(a.final_hidden, b.final_hidden), 0.0f);
+}
+
+// A .tgt name is up to 4096 untrusted bytes; the info report must stay
+// valid JSON whatever they hold.
+TEST(TraceTool, InfoReportEscapesHostileTraceName) {
+  const DynamicGraph g = sample();
+  std::vector<Snapshot> snaps;
+  for (SnapshotId t = 0; t < g.num_snapshots(); ++t) {
+    snaps.push_back(g.snapshot(t));
+  }
+  const DynamicGraph hostile(std::string("q\"b\\s\nx\x01y"), std::move(snaps));
+  const std::string tgt = ::testing::TempDir() + "tagnn_hostile_name.tgt";
+  const std::string report = ::testing::TempDir() + "tagnn_hostile_name.json";
+  write_trace_file(hostile, tgt);
+  const std::string cmd = std::string("'") + TAGNN_TRACE_TOOL + "' info '" +
+                          tgt + "' --report-out '" + report +
+                          "' > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(report);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::string err;
+  EXPECT_TRUE(obs::json_valid(doc, &err)) << err << "\n" << doc;
+  obs::JsonValue v;
+  ASSERT_TRUE(obs::json_parse(doc, &v, &err)) << err;
+  EXPECT_EQ(v.string_at("trace"), hostile.name());
+  EXPECT_DOUBLE_EQ(v.number_at("avg_edges"), hostile.avg_edges());
+  std::remove(tgt.c_str());
+  std::remove(report.c_str());
 }
 
 }  // namespace

@@ -13,9 +13,9 @@
 #   --fast         default preset only (skip sanitizer builds, bench
 #                  gate, clang-tidy; tagnn_lint still runs — it is
 #                  sub-second)
-#   --smoke NAME   run a single smoke (telemetry|live|serve|mem) against an
-#                  existing build tree and exit — this is what the CI
-#                  smoke jobs call, so local and CI run identical logic
+#   --smoke NAME   run one smoke (telemetry|live|serve|mem|bench|lint)
+#                  against an existing build tree and exit — every CI
+#                  job calls this, so local and CI run identical logic
 #
 # Every step runs through `step`, which records wall time and the exact
 # failing step; the EXIT trap prints a timing summary either way and the
@@ -461,7 +461,9 @@ mem_smoke() {
 bench_gate() {
   # Bench-regression gate (docs/PERFORMANCE.md): quick bench run,
   # JSON validity, then ratio/fingerprint comparison vs the checked-in
-  # baseline.
+  # baseline. Outputs land in BUILD_DIR (BENCH_regress.json,
+  # BENCH_runs.jsonl, drift.txt, bench-report.html); the bench-smoke CI
+  # job uploads them. TAGNN_GIT_SHA, when set, tags the ledger lines.
   # Same errexit caveat as telemetry_smoke: chain statuses explicitly.
   local build_dir="$1"
   local out="$build_dir/BENCH_regress.json"
@@ -469,7 +471,13 @@ bench_gate() {
   rm -f "$ledger"
   "$build_dir/bench/bench_regress" --quick --out "$out" \
     --ledger "$ledger" &&
-  "$build_dir/tools/json_validate" "$out" &&
+  "$build_dir/tools/json_validate" "$out" || return 1
+  # The HTML perf report is an artifact, not a gate: render it before
+  # the gate so it exists when the gate fails.
+  "$build_dir/tools/tagnn_report" render \
+    --out "$build_dir/bench-report.html" --ledger "$ledger" \
+    --title "bench_regress ${TAGNN_GIT_SHA:-local}" > /dev/null ||
+    echo "bench gate: HTML report render failed (artifact only)" >&2
   python3 tools/bench_compare.py "$out" bench/baselines/quick.json || return 1
   # Forced-scalar run, gated against the scalar-keyed floors in the
   # baseline's speedup_by_isa map: structural wins (blocking, batching)
@@ -480,25 +488,47 @@ bench_gate() {
   "$build_dir/tools/json_validate" "$out_scalar" &&
   python3 tools/bench_compare.py "$out_scalar" \
     bench/baselines/quick.json || return 1
-  # Drift check vs a baseline-derived history (docs/DIAGNOSIS.md):
-  # non-fatal by design — wall times vary across hosts, so a finding is
-  # a prompt to look, not a gate. The detector itself is self-tested:
-  # an injected 2x slowdown must flag (that part IS fatal).
-  "$build_dir/tools/tagnn_report" ledger-append --ledger "$ledger" \
+  # Drift check of this run against a history built from the checked-in
+  # baseline alone (docs/DIAGNOSIS.md): non-fatal by design — wall
+  # times vary across hosts, so a finding is a prompt to look (a
+  # ::warning:: annotation under GitHub Actions), not a gate.
+  local drift_ledger="$build_dir/DRIFT_runs.jsonl"
+  rm -f "$drift_ledger"
+  "$build_dir/tools/tagnn_report" ledger-append --ledger "$drift_ledger" \
     --bench bench/baselines/quick.json --env baseline > /dev/null &&
-  "$build_dir/tools/tagnn_report" ledger-append --ledger "$ledger" \
+  "$build_dir/tools/tagnn_report" ledger-append --ledger "$drift_ledger" \
     --bench "$out" --env ci > /dev/null || return 1
   local drift_rc=0
-  "$build_dir/tools/tagnn_report" drift --ledger "$ledger" \
-    --min-history 1 || drift_rc=$?
-  [ "$drift_rc" -eq 1 ] && return 1
+  "$build_dir/tools/tagnn_report" drift --ledger "$drift_ledger" \
+    --min-history 1 > "$build_dir/drift.txt" || drift_rc=$?
+  cat "$build_dir/drift.txt"
+  [ "$drift_rc" -eq 0 ] || [ "$drift_rc" -eq 3 ] || return 1
   if [ "$drift_rc" -eq 3 ]; then
     echo "bench gate: drift findings above (informational, not fatal)"
+    if [ "${GITHUB_ACTIONS:-}" = "true" ]; then
+      echo "::warning::bench drift vs baseline ledger:" \
+           "$(grep -c '^DRIFT' "$build_dir/drift.txt") metric(s) — see" \
+           "drift.txt artifact"
+    fi
   fi
+  # Negative self-tests, both fatal: the gate must reject a synthetic
+  # 50% slowdown of the optimised path, and the drift detector must
+  # flag an injected 2x slowdown. A check that passes these is blind.
   python3 - "$out" "$ledger" "$build_dir" <<'EOF'
 import json, subprocess, sys
 out, ledger, build_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 bench = json.load(open(out))
+tampered = dict(bench)
+tampered["entries"] = [dict(e, opt_sec=e["opt_sec"] * 1.5,
+                            speedup=e["speedup"] / 1.5)
+                       for e in bench["entries"]]
+tampered_path = out + ".tampered.json"
+json.dump(tampered, open(tampered_path, "w"))
+rc = subprocess.run(["python3", "tools/bench_compare.py", tampered_path, out],
+                    capture_output=True).returncode
+if rc == 0:
+    sys.exit("gate self-test: bench_compare accepted a 50% synthetic slowdown")
+print("gate self-test: injected 50% slowdown rejected as expected")
 slow = dict(bench)
 slow["entries"] = [dict(e, opt_sec=e["opt_sec"] * 2) for e in bench["entries"]]
 slow_path = out + ".slow.json"
@@ -560,8 +590,11 @@ EOF
   "command": "g++ -c src/tensor/store.cpp"}]
 EOF
   local rc=0
-  "$build_dir/tools/tagnn_lint" --db "$dir/compile_commands.json" \
-    --root "$dir" --out "$dir/lint.json" > /dev/null 2> /dev/null || rc=$?
+  # GITHUB_ACTIONS=false: the injected findings must not become PR
+  # annotations.
+  GITHUB_ACTIONS=false "$build_dir/tools/tagnn_lint" \
+    --db "$dir/compile_commands.json" --root "$dir" --out "$dir/lint.json" \
+    > /dev/null 2> /dev/null || rc=$?
   if [ "$rc" -ne 2 ]; then
     echo "lint self-test: expected exit 2 on injected violations, got $rc" >&2
     return 1
@@ -579,6 +612,29 @@ EOF
   echo "lint self-test: injected violations flagged as expected"
 }
 
+tagnn_lint_checks() {
+  # tagnn_lint over the repo (docs/STATIC_ANALYSIS.md), a well-formed
+  # tagnn.lint.v1 findings doc (BUILD_DIR/tagnn_lint.json, the lint CI
+  # job's artifact), then the checker's negative self-test. Under
+  # GitHub Actions the tool also emits ::error annotations on findings.
+  # Same errexit caveat as telemetry_smoke: chain statuses explicitly.
+  local build_dir="$1"
+  "$build_dir/tools/tagnn_lint" --db "$build_dir/compile_commands.json" \
+    --root "$repo_root" --out "$build_dir/tagnn_lint.json" &&
+  "$build_dir/tools/json_validate" "$build_dir/tagnn_lint.json" &&
+  grep -q '"schema": "tagnn.lint.v1"' "$build_dir/tagnn_lint.json" &&
+  lint_selftest "$build_dir"
+}
+
+lint_smoke() {
+  # The lint CI job: tagnn_lint checks, then tools/lint.sh (clang-tidy),
+  # which is strict under GitHub Actions or TAGNN_LINT_STRICT=1 and
+  # skips a missing clang-tidy otherwise.
+  local build_dir="$1"
+  tagnn_lint_checks "$build_dir" &&
+  "$repo_root/tools/lint.sh" "$build_dir"
+}
+
 # Single-smoke entry point for the CI smoke jobs (and local debugging):
 # runs one smoke against an existing build tree instead of the full
 # pipeline, so .github/workflows/ci.yml never mirrors smoke logic.
@@ -588,7 +644,10 @@ if [ "${1:-}" = "--smoke" ]; then
     live)      step "live smoke" live_smoke "${3:-build}" ;;
     serve)     step "serve smoke" serve_smoke "${3:-build}" ;;
     mem)       step "mem smoke" mem_smoke "${3:-build}" ;;
-    *) echo "ci.sh: unknown smoke '${2:-}' (want telemetry|live|serve|mem)" >&2
+    bench)     step "bench gate" bench_gate "${3:-build}" ;;
+    lint)      step "lint smoke" lint_smoke "${3:-build}" ;;
+    *) echo "ci.sh: unknown smoke '${2:-}'" \
+            "(want telemetry|live|serve|mem|bench|lint)" >&2
        exit 2 ;;
   esac
   exit 0
@@ -617,10 +676,7 @@ done
 
 # The invariants checker is sub-second, so it runs even in --fast mode;
 # its negative self-test keeps the gate itself honest.
-step "tagnn_lint" build/tools/tagnn_lint \
-  --db build/compile_commands.json --root "$repo_root" \
-  --out build/tagnn_lint.json
-step "tagnn_lint self-test" lint_selftest build
+step "tagnn_lint" tagnn_lint_checks build
 
 if [ "$fast" -eq 0 ]; then
   step "bench gate" bench_gate build

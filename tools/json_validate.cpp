@@ -15,7 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 
 int main(int argc, char** argv) {
   bool jsonl = false;

@@ -34,10 +34,9 @@
 
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "obs/analyze/jparse.hpp"
 #include "obs/analyze/ledger.hpp"
 #include "obs/cli.hpp"
-#include "obs/jsonv.hpp"
+#include "obs/json.hpp"
 #include "obs/live/http.hpp"
 #include "obs/metrics.hpp"
 
@@ -332,9 +331,9 @@ int main(int argc, char** argv) {
   }
   std::vector<TenantInfo> tenants;
   {
-    obs::analyze::JsonValue doc;
+    obs::JsonValue doc;
     std::string perr;
-    if (!obs::analyze::json_parse(tenants_doc.body, &doc, &perr)) {
+    if (!obs::json_parse(tenants_doc.body, &doc, &perr)) {
       std::cerr << "loadgen: bad /v1/tenants document: " << perr << "\n";
       return 1;
     }
@@ -382,9 +381,9 @@ int main(int argc, char** argv) {
   {
     const auto slo = http_get(o.host, static_cast<std::uint16_t>(o.port),
                               "/slo.json", o.timeout_ms);
-    obs::analyze::JsonValue doc;
+    obs::JsonValue doc;
     if (slo.ok && slo.status == 200 &&
-        obs::analyze::json_parse(slo.body, &doc, nullptr)) {
+        obs::json_parse(slo.body, &doc, nullptr)) {
       if (const auto* t = doc.find("targets_ms")) {
         target_p99_ms = t->number_at("p99", target_p99_ms);
       }

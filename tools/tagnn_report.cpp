@@ -25,14 +25,16 @@
 #include <vector>
 
 #include "obs/analyze/cycle_stack.hpp"
-#include "obs/analyze/jparse.hpp"
 #include "obs/analyze/ledger.hpp"
 #include "obs/analyze/report_html.hpp"
 #include "obs/analyze/roofline.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
 using namespace tagnn::obs::analyze;
+using tagnn::obs::json_parse;
+using tagnn::obs::JsonValue;
 
 [[noreturn]] void usage() {
   std::cerr

@@ -22,6 +22,12 @@
 
 namespace {
 
+// The live plane listens on --port, and the server writes no trace,
+// report or ledger, so those shared flags are refused.
+constexpr unsigned kServeTelemetryFlags =
+    tagnn::obs::kMetricsOut | tagnn::obs::kNoTelemetry |
+    tagnn::obs::kLiveIntervalMs | tagnn::obs::kFlightRecorder;
+
 struct Options {
   int port = 0;  // 0 = kernel-assigned, announced on stderr
   int tenants = 2;
@@ -54,7 +60,7 @@ int usage(const char* argv0) {
       << "  --slo-p50-ms X --slo-p90-ms X --slo-p99-ms X\n"
       << "                       latency targets for /slo.json\n"
       << "  --max-runtime-s N    exit after N seconds without /quit\n"
-      << tagnn::obs::telemetry_usage();
+      << tagnn::obs::telemetry_usage(kServeTelemetryFlags);
   return 2;
 }
 
@@ -101,7 +107,8 @@ int main(int argc, char** argv) {
         o.slo.p99_ms = std::stod(value(i, a));
       } else if (a == "--max-runtime-s") {
         o.max_runtime_s = std::stoi(value(i, a));
-      } else if (!obs::consume_telemetry_flag(args, i, o.tel)) {
+      } else if (!obs::consume_telemetry_flag(args, i, o.tel,
+                                               kServeTelemetryFlags)) {
         return usage(argv[0]);
       }
     }

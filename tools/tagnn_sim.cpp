@@ -31,6 +31,7 @@
 #include "nn/engine.hpp"
 #include "obs/analyze/ledger.hpp"
 #include "obs/cli.hpp"
+#include "obs/json.hpp"
 #include "obs/live/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -220,8 +221,8 @@ int run_impl(const Options& o) {
                                  o.tel.report_out);
       }
       f << "{\n  \"schema\": \"tagnn.engine_report.v1\",\n"
-        << "  \"workload\": \"" << json_escape(g.name() + "/" + o.model)
-        << "\",\n  \"engine\": \"" << json_escape(o.engine)
+        << "  \"workload\": \"" << obs::json_escape(g.name() + "/" + o.model)
+        << "\",\n  \"engine\": \"" << obs::json_escape(o.engine)
         << "\",\n  \"kernels\": {";
       const auto variants = kernels::registry().active_variants();
       for (std::size_t vi = 0; vi < variants.size(); ++vi) {

@@ -26,13 +26,13 @@
 #include <thread>
 #include <vector>
 
-#include "obs/analyze/jparse.hpp"
 #include "obs/analyze/ledger.hpp"
+#include "obs/json.hpp"
 #include "obs/live/http.hpp"
 
 namespace {
 
-using tagnn::obs::analyze::JsonValue;
+using tagnn::obs::JsonValue;
 using tagnn::obs::live::http_get;
 using tagnn::obs::live::HttpGetResult;
 
@@ -133,7 +133,7 @@ struct Frame {
 
 bool parse_frame(const std::string& body, Frame* out, std::string* error) {
   JsonValue doc;
-  if (!tagnn::obs::analyze::json_parse(body, &doc, error)) return false;
+  if (!tagnn::obs::json_parse(body, &doc, error)) return false;
   if (doc.string_at("schema") != "tagnn.live.v1") {
     if (error != nullptr) *error = "not a tagnn.live.v1 document";
     return false;

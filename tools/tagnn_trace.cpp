@@ -7,11 +7,12 @@
 //   tagnn_trace to-text <in.tgt> <out.txt>   (binary -> editable text)
 //   tagnn_trace from-text <in.txt> <out.tgt> (text -> binary)
 //
-// Every subcommand also accepts the shared telemetry flags (see
-// obs::telemetry_usage()): --metrics-out / --trace-out capture the
-// run's telemetry, --report-out writes a tagnn.trace_info.v1 JSON
-// summary of the processed trace, and --ledger appends a tagnn.run.v1
-// record so trace growth shows up in the cross-run ledger.
+// Every subcommand also accepts the shared telemetry flags that do not
+// need a live plane (see obs::telemetry_usage()): --metrics-out /
+// --trace-out capture the run's telemetry, --report-out writes a
+// tagnn.trace_info.v1 JSON summary of the processed trace, and --ledger
+// appends a tagnn.run.v1 record so trace growth shows up in the
+// cross-run ledger. The live-plane flags are refused.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -25,12 +26,17 @@
 #include "graph/trace_io.hpp"
 #include "obs/analyze/ledger.hpp"
 #include "obs/cli.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
 
 using namespace tagnn;
+
+constexpr unsigned kTraceTelemetryFlags = obs::kMetricsOut | obs::kTraceOut |
+                                          obs::kNoTelemetry |
+                                          obs::kReportOut | obs::kLedger;
 
 // Summary of the graph a subcommand touched, for --report-out/--ledger.
 struct TraceStats {
@@ -58,7 +64,7 @@ struct TraceStats {
          "       tagnn_trace info <in.tgt>\n"
          "       tagnn_trace to-text <in.tgt> <out.txt>\n"
          "       tagnn_trace from-text <in.txt> <out.tgt>\n"
-      << obs::telemetry_usage();
+      << obs::telemetry_usage(kTraceTelemetryFlags);
   std::exit(2);
 }
 
@@ -136,18 +142,15 @@ void write_report(const std::string& path, const std::string& cmd,
   if (!f) {
     throw std::runtime_error("cannot open report output file: " + path);
   }
-  std::string name;
-  for (const char c : s.name) {
-    if (c == '"' || c == '\\') name += '\\';
-    name += c;
-  }
   f << "{\n  \"schema\": \"tagnn.trace_info.v1\",\n"
     << "  \"command\": \"" << cmd << "\",\n"
-    << "  \"trace\": \"" << name << "\",\n"
+    << "  \"trace\": \"" << obs::json_escape(s.name) << "\",\n"
     << "  \"vertices\": " << s.vertices << ",\n"
     << "  \"dim\": " << s.dim << ",\n"
     << "  \"snapshots\": " << s.snapshots << ",\n"
-    << "  \"avg_edges\": " << s.avg_edges << "\n}\n";
+    << "  \"avg_edges\": ";
+  obs::write_json_number(f, s.avg_edges);
+  f << "\n}\n";
 }
 
 void append_ledger(const std::string& path, const std::string& cmd,
@@ -175,7 +178,9 @@ int main(int argc, char** argv) {
     const std::vector<std::string> all = obs::split_eq_flags(argc, argv);
     for (std::size_t i = 1; i < all.size(); ++i) {
       if (all[i] == "--help" || all[i] == "-h") usage();
-      if (!obs::consume_telemetry_flag(all, i, tel)) rest.push_back(all[i]);
+      if (!obs::consume_telemetry_flag(all, i, tel, kTraceTelemetryFlags)) {
+        rest.push_back(all[i]);
+      }
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
