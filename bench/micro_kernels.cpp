@@ -1,12 +1,14 @@
 // Google-benchmark microbenchmarks of the hot kernels and storage
 // formats: per-snapshot neighbour traversal under CSR / PMA / O-CSR,
-// GCN layer forward, RNN cell updates, PMA updates. These complement
+// GCN layer forward, RNN cell updates (per vertex and the engine's
+// batched row paths), the Condense Unit, PMA updates. These complement
 // the figure benches with real wall-clock numbers for the library
 // itself.
 #include <benchmark/benchmark.h>
 
 #include "graph/datasets.hpp"
 #include "graph/formats.hpp"
+#include "nn/condense.hpp"
 #include "nn/gcn.hpp"
 #include "nn/rnn.hpp"
 #include "obs/metrics.hpp"
@@ -111,6 +113,101 @@ void BM_RnnDeltaUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RnnDeltaUpdate);
+
+// The concurrent engine's RNN phase: one T-GCN cell over a batch of
+// kRnnRows listed rows. z/h rows of 32 + 48 lanes, as in the presets.
+constexpr std::size_t kRnnRows = 1024;
+
+struct RnnRowsFixture {
+  explicit RnnRowsFixture(double lane_density)
+      : w(DgnnWeights::init(ModelConfig::preset("T-GCN"), 32, 3)),
+        cell(w),
+        z(kRnnRows, cell.input_dim()),
+        h(kRnnRows, cell.hidden()),
+        c(kRnnRows, cell.cell_state_dim()),
+        cache(kRnnRows, cell.cache_dim()),
+        dx(kRnnRows, cell.input_dim()),
+        dh(kRnnRows, cell.hidden()) {
+    Rng rng(5);
+    for (Matrix* m : {&z, &h, &cache}) {
+      for (std::size_t i = 0; i < m->size(); ++i) m->data()[i] = rng.normal();
+    }
+    // Delta rows hold `lane_density` non-zero lanes, as dense_delta
+    // leaves them.
+    for (Matrix* m : {&dx, &dh}) {
+      for (std::size_t i = 0; i < m->size(); ++i) {
+        if (rng.chance(lane_density)) {
+          m->data()[i] = 0.01f * rng.normal();
+          nnz += 1;
+        }
+      }
+    }
+    for (std::size_t v = 0; v < kRnnRows; ++v) {
+      rows.push_back(static_cast<VertexId>(v));
+    }
+  }
+
+  DgnnWeights w;
+  RnnCell cell;
+  Matrix z, h, c, cache, dx, dh;
+  std::vector<VertexId> rows;
+  double nnz = 0;
+};
+
+// Condense Unit over one z row and one h row per vertex.
+void BM_DenseDelta(benchmark::State& state) {
+  RnnRowsFixture f(0.0);
+  Matrix za = f.z, ha = f.h;
+  Rng rng(9);
+  for (std::size_t i = 0; i < za.size(); ++i) {
+    za.data()[i] += 0.02f * rng.normal();
+  }
+  const Matrix za0 = za;
+  for (auto _ : state) {
+    std::size_t nnz = 0;
+    for (std::size_t v = 0; v < kRnnRows; ++v) {
+      nnz += dense_delta(f.z.row(v), za.row(v), 0.01f, f.dx.row(v));
+      nnz += dense_delta(f.h.row(v), ha.row(v), 0.01f, f.dh.row(v));
+    }
+    benchmark::DoNotOptimize(nnz);
+    benchmark::DoNotOptimize(f.dx.data());
+    benchmark::DoNotOptimize(f.dh.data());
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    za = za0;  // restore the drift the next pass condenses
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kRnnRows);
+}
+BENCHMARK(BM_DenseDelta);
+
+void BM_RnnFullUpdateRows(benchmark::State& state) {
+  RnnRowsFixture f(0.0);
+  OpCounts counts;
+  for (auto _ : state) {
+    f.cell.full_update_rows(f.z, f.rows, f.h, f.c, f.cache, counts);
+    benchmark::DoNotOptimize(f.h.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRnnRows);
+}
+// The row paths fan out over the global pool: time the wall clock.
+BENCHMARK(BM_RnnFullUpdateRows)->UseRealTime();
+
+// Arg: kept-lane density of the delta rows in per mille — 860 as on
+// fk-tgcn, 2 as on ml-cdgcn.
+void BM_RnnDeltaUpdateRows(benchmark::State& state) {
+  RnnRowsFixture f(static_cast<double>(state.range(0)) / 1000.0);
+  OpCounts counts;
+  for (auto _ : state) {
+    f.cell.delta_update_rows(f.dx, f.dh, f.rows, f.nnz, f.h, f.c, f.cache,
+                             counts);
+    benchmark::DoNotOptimize(f.h.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRnnRows);
+}
+BENCHMARK(BM_RnnDeltaUpdateRows)->Arg(860)->Arg(2)->UseRealTime();
 
 void BM_PmaInsert(benchmark::State& state) {
   Rng rng(5);

@@ -17,7 +17,6 @@
 // pipelined schedule is byte-identical to the serial one.
 #include <cstdint>
 #include <future>
-#include <mutex>
 
 #include "common/thread_pool.hpp"
 #include "graph/affected_subgraph.hpp"
@@ -154,7 +153,6 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
 
   const auto total = static_cast<SnapshotId>(g.num_snapshots());
   GcnScratch scratch;
-  RnnBatchScratch rnn_ws;
   // Scratch reused across windows so the steady-state loop allocates
   // nothing per (layer, snapshot): layer activations, traffic stamps,
   // and the RNN mode/partition buffers.
@@ -165,9 +163,6 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
   constexpr std::uint8_t kAbsent = 255;
   std::vector<std::uint8_t> mode(n);
   std::vector<VertexId> full_rows, delta_rows;
-  // Dense delta staging for the batched delta path — rows of listed
-  // vertices are fully rewritten on each use, so no re-zeroing.
-  Matrix delta_x(n, cell.input_dim()), delta_h(n, cell.hidden());
   std::future<WindowOverhead> prefetched;
   for (SnapshotId start = 0; start < total; start += opts_.window_size) {
     const Window w{start,
@@ -336,35 +331,18 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
       }
       res.rnn_counts.rnn_skip += skips;
 
-      // Pass 3 — delta updates as one batch. Condense Unit: threshold
-      // the input + recurrent drift vs the last applied values into
-      // dense delta rows (exact zeros mark unchanged lanes), then push
-      // the whole batch through the gate weights as two masked GEMMs.
-      // The skip classifier leaves the deltas mostly dense, so the
-      // packed GEMM beats per-lane axpy streaming.
-      if (!delta_rows.empty()) {
-        std::mutex mu;
-        double total_nnz = 0;
-        parallel_for(0, delta_rows.size(),
-                     [&](std::size_t i0, std::size_t i1) {
-          std::size_t nnz = 0;
-          for (std::size_t i = i0; i < i1; ++i) {
-            const VertexId v = delta_rows[i];
-            nnz += dense_delta(z.row(v), z_applied.row(v), opts_.delta_eps,
-                               delta_x.row(v));
-            nnz += dense_delta(st.h.row(v), h_applied.row(v),
-                               opts_.delta_eps, delta_h.row(v));
-          }
-          std::lock_guard<std::mutex> lock(mu);
-          total_nnz += static_cast<double>(nnz);
-        }, /*serial_threshold=*/256);
-        cell.delta_update_rows(delta_x, delta_h, delta_rows, total_nnz,
-                               st.h, st.c, st.cache, rnn_ws,
-                               res.rnn_counts);
-      }
+      // Pass 3 — delta updates as one batch. Per block of rows the
+      // Condense Unit thresholds the input + recurrent drift vs the last
+      // applied values into small dense tiles (exact zeros mark
+      // unchanged lanes), and both gate products run as GEMMs over the
+      // tiles. The skip classifier leaves the deltas mostly dense, so
+      // the GEMM beats per-lane axpy streaming.
+      cell.delta_update_rows(z, z_applied, h_applied, opts_.delta_eps,
+                             delta_rows, st.h, st.c, st.cache,
+                             res.rnn_counts);
 
       // Pass 4 — full updates as one batch: fold the pre-update h into
-      // h_applied, run both gate GEMMs over all full rows at once, then
+      // h_applied, run the full rows through the blocked update, then
       // mark the inputs applied.
       if (!full_rows.empty()) {
         parallel_for(0, full_rows.size(), [&](std::size_t i0,
@@ -374,7 +352,7 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
             copy(st.h.row(v), h_applied.row(v));  // h folded by update
           }
         }, /*serial_threshold=*/512);
-        cell.full_update_rows(z, full_rows, st.h, st.c, st.cache, rnn_ws,
+        cell.full_update_rows(z, full_rows, st.h, st.c, st.cache,
                               res.rnn_counts);
         parallel_for(0, full_rows.size(), [&](std::size_t i0,
                                               std::size_t i1) {

@@ -1,6 +1,8 @@
 #include "nn/rnn.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <vector>
 
 #include "common/check.hpp"
@@ -9,6 +11,17 @@
 #include "tensor/ops.hpp"
 
 namespace tagnn {
+
+namespace {
+
+// Per-thread tiles of one row block (RnnCell::kBlockRows rows): the two
+// gate products and, on the fused condense path, the condensed input
+// and recurrent drift rows.
+struct BlockTiles {
+  std::vector<float> x, h, dx, dh;
+};
+
+}  // namespace
 
 RnnCell::RnnCell(const DgnnWeights& weights)
     : w_(weights),
@@ -109,53 +122,94 @@ void RnnCell::full_update(std::span<const float> x,
   ++counts.rnn_full;
 }
 
+// The batched paths walk their row list in blocks of kBlockRows. Per
+// block, `source` points ax/ah at the A rows of the two gate products
+// (z/h rows for a full update, delta rows for a delta update —
+// condensing them into the block's tiles first on the fused path);
+// both GEMMs then write L1-resident tiles through ops::gemm_rows, and
+// the tiles are folded into the cache rows before h/c are derived.
+// Blocks are independent (each reads and writes only its own rows), so
+// they run in parallel; a block's GEMMs read its h rows before any of
+// them is overwritten.
+template <class Source>
+std::size_t RnnCell::update_blocks(std::span<const VertexId> rows, bool full,
+                                   Matrix& h, Matrix& c, Matrix& cache,
+                                   const Source& source) const {
+  const std::size_t gh = gates_ * h_;
+  const float* bias = w_.rnn_b.data();
+  const std::size_t blocks = (rows.size() + kBlockRows - 1) / kBlockRows;
+  std::mutex mu;
+  std::size_t total_kept = 0;  // guarded by mu
+  parallel_for(0, blocks, [&](std::size_t b0, std::size_t b1) {
+    thread_local BlockTiles t;
+    t.x.resize(kBlockRows * gh);
+    t.h.resize(kBlockRows * gh);
+    std::size_t kept = 0;
+    for (std::size_t b = b0; b < b1; ++b) {
+      const std::span<const VertexId> blk = rows.subspan(
+          b * kBlockRows, std::min(kBlockRows, rows.size() - b * kBlockRows));
+      const std::size_t m = blk.size();
+      const float* ax[kBlockRows];
+      const float* ah[kBlockRows];
+      float* xt[kBlockRows];
+      float* ht[kBlockRows];
+      kept += source(blk, t, ax, ah);
+      for (std::size_t i = 0; i < m; ++i) {
+        xt[i] = t.x.data() + i * gh;
+        ht[i] = t.h.data() + i * gh;
+        if (full) std::copy(bias, bias + gh, xt[i]);
+      }
+      // A full update's x-part accumulates onto the bias: the same
+      // bias-first ascending-k order as the per-vertex gemv path.
+      ops::gemm_rows({ax, m}, w_.rnn_wx, {xt, m}, /*accumulate=*/full);
+      ops::gemm_rows({ah, m}, w_.rnn_wh, {ht, m});
+      for (std::size_t i = 0; i < m; ++i) {
+        const auto v = static_cast<std::size_t>(blk[i]);
+        const float* xp = xt[i];
+        const float* hp = ht[i];
+        float* vc = cache.row(v).data();
+        if (kind_ == RnnKind::kLstm) {
+          // x- and h-parts share the combined pre-activation vector.
+          for (std::size_t j = 0; j < gh; ++j) {
+            vc[j] = full ? xp[j] + hp[j] : (vc[j] + xp[j]) + hp[j];
+          }
+        } else if (full) {
+          // GRU keeps the h-part in the upper half of the cache.
+          std::copy(xp, xp + gh, vc);
+          std::copy(hp, hp + gh, vc + gh);
+        } else {
+          for (std::size_t j = 0; j < gh; ++j) {
+            vc[j] += xp[j];
+            vc[gh + j] += hp[j];
+          }
+        }
+        derive_outputs(h.row(v), c.row(v), cache.row(v), h.row(v),
+                       c.row(v));
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    total_kept += kept;
+  }, /*serial_threshold=*/64 / kBlockRows);
+  return total_kept;
+}
+
 void RnnCell::full_update_rows(const Matrix& z,
                                std::span<const VertexId> rows, Matrix& h,
-                               Matrix& c, Matrix& cache, RnnBatchScratch& ws,
+                               Matrix& c, Matrix& cache,
                                OpCounts& counts) const {
   if (rows.empty()) return;
   const std::size_t gh = gates_ * h_;
   TAGNN_CHECK(z.cols() == dz_ && h.cols() == h_);
   TAGNN_CHECK(cache.cols() == cache_dim());
-  const std::size_t n = z.rows();
-  if (ws.xpart.rows() != n || ws.xpart.cols() != gh) {
-    ws.xpart = Matrix(n, gh);
-  }
-  if (ws.hpart.rows() != n || ws.hpart.cols() != gh) {
-    ws.hpart = Matrix(n, gh);
-  }
-  // x-part: bias prefill, then one masked accumulate-mode GEMM — the
-  // same bias-first ascending-k accumulation order as the per-vertex
-  // gemv path, so the batch is value-identical to row-by-row updates.
-  const float* bias = w_.rnn_b.data();
-  parallel_for(0, rows.size(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      float* xr = ws.xpart.data() + static_cast<std::size_t>(rows[i]) * gh;
-      std::copy(bias, bias + gh, xr);
-    }
-  }, /*serial_threshold=*/256);
-  ops::gemm(z, w_.rnn_wx, ws.xpart, {.rows = rows, .accumulate = true});
-  // h-part: reads every listed h row before any output row is written,
-  // so the in-place h update below cannot feed back into the batch.
-  ops::gemm(h, w_.rnn_wh, ws.hpart, {.rows = rows});
-
-  parallel_for(0, rows.size(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const auto v = static_cast<std::size_t>(rows[i]);
-      const float* xp = ws.xpart.data() + v * gh;
-      const float* hp = ws.hpart.data() + v * gh;
-      const std::span<float> vcache = cache.row(v);
-      if (kind_ == RnnKind::kLstm) {
-        for (std::size_t j = 0; j < gh; ++j) vcache[j] = xp[j] + hp[j];
-      } else {
-        for (std::size_t j = 0; j < gh; ++j) {
-          vcache[j] = xp[j];
-          vcache[gh + j] = hp[j];
-        }
-      }
-      derive_outputs(h.row(v), c.row(v), vcache, h.row(v), c.row(v));
-    }
-  }, /*serial_threshold=*/64);
+  update_blocks(rows, /*full=*/true, h, c, cache,
+                [&](std::span<const VertexId> blk, BlockTiles&,
+                    const float** ax, const float** ah) {
+                  for (std::size_t i = 0; i < blk.size(); ++i) {
+                    ax[i] = z.row(blk[i]).data();
+                    ah[i] = h.row(blk[i]).data();
+                  }
+                  return std::size_t{0};
+                });
 
   const auto nv = static_cast<double>(rows.size());
   counts.macs += nv * full_update_macs();
@@ -207,58 +261,68 @@ void RnnCell::delta_update(std::span<const float> dx,
 void RnnCell::delta_update_rows(const Matrix& dx, const Matrix& dh,
                                 std::span<const VertexId> rows,
                                 double total_nnz, Matrix& h, Matrix& c,
-                                Matrix& cache, RnnBatchScratch& ws,
-                                OpCounts& counts) const {
+                                Matrix& cache, OpCounts& counts) const {
   if (rows.empty()) return;
-  const std::size_t gh = gates_ * h_;
   TAGNN_CHECK(dx.cols() == dz_ && dh.cols() == h_);
   TAGNN_CHECK(cache.cols() == cache_dim());
-  const std::size_t n = dx.rows();
-  if (ws.xpart.rows() != n || ws.xpart.cols() != gh) {
-    ws.xpart = Matrix(n, gh);
-  }
-  if (ws.hpart.rows() != n || ws.hpart.cols() != gh) {
-    ws.hpart = Matrix(n, gh);
-  }
-  // At the densities the skip thresholds produce, delta rows are
-  // mostly dense, so the batch pays off as two packed GEMMs (zero
-  // lanes contribute exact-zero products) instead of per-lane axpy
-  // streaming with a weight-row reload per lane.
-  ops::gemm(dx, w_.rnn_wx, ws.xpart, {.rows = rows});
-  ops::gemm(dh, w_.rnn_wh, ws.hpart, {.rows = rows});
+  update_blocks(rows, /*full=*/false, h, c, cache,
+                [&](std::span<const VertexId> blk, BlockTiles&,
+                    const float** ax, const float** ah) {
+                  for (std::size_t i = 0; i < blk.size(); ++i) {
+                    ax[i] = dx.row(blk[i]).data();
+                    ah[i] = dh.row(blk[i]).data();
+                  }
+                  return std::size_t{0};
+                });
+  charge_delta_rows(rows.size(), total_nnz, counts);
+}
 
-  parallel_for(0, rows.size(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const auto v = static_cast<std::size_t>(rows[i]);
-      const float* xp = ws.xpart.data() + v * gh;
-      const float* hp = ws.hpart.data() + v * gh;
-      const std::span<float> vcache = cache.row(v);
-      if (kind_ == RnnKind::kLstm) {
-        // x- and h-parts share the combined pre-activation vector.
-        for (std::size_t j = 0; j < gh; ++j) {
-          vcache[j] = (vcache[j] + xp[j]) + hp[j];
+void RnnCell::delta_update_rows(const Matrix& z, Matrix& z_applied,
+                                Matrix& h_applied, float eps,
+                                std::span<const VertexId> rows, Matrix& h,
+                                Matrix& c, Matrix& cache,
+                                OpCounts& counts) const {
+  if (rows.empty()) return;
+  TAGNN_CHECK(z.cols() == dz_ && z_applied.cols() == dz_);
+  TAGNN_CHECK(h.cols() == h_ && h_applied.cols() == h_);
+  TAGNN_CHECK(cache.cols() == cache_dim());
+  // Condense Unit: each row's drift since the last applied values is
+  // thresholded into the block's tiles (exact zeros mark unchanged
+  // lanes) just before the block's GEMMs read it.
+  const std::size_t nnz = update_blocks(
+      rows, /*full=*/false, h, c, cache,
+      [&](std::span<const VertexId> blk, BlockTiles& t, const float** ax,
+          const float** ah) {
+        t.dx.resize(kBlockRows * dz_);
+        t.dh.resize(kBlockRows * h_);
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < blk.size(); ++i) {
+          const VertexId v = blk[i];
+          const std::span<float> dxr(t.dx.data() + i * dz_, dz_);
+          const std::span<float> dhr(t.dh.data() + i * h_, h_);
+          kept += dense_delta(z.row(v), z_applied.row(v), eps, dxr);
+          kept += dense_delta(h.row(v), h_applied.row(v), eps, dhr);
+          ax[i] = dxr.data();
+          ah[i] = dhr.data();
         }
-      } else {
-        // GRU keeps the h-part in the upper half of the cache.
-        for (std::size_t j = 0; j < gh; ++j) {
-          vcache[j] += xp[j];
-          vcache[gh + j] += hp[j];
-        }
-      }
-      derive_outputs(h.row(v), c.row(v), vcache, h.row(v), c.row(v));
-    }
-  }, /*serial_threshold=*/64);
+        return kept;
+      });
+  charge_delta_rows(rows.size(), static_cast<double>(nnz), counts);
+}
 
-  // Charged as the Condense Unit computes it: only the kept lanes cost
-  // MACs/fetch traffic, identical to summing the per-vertex charges.
-  const auto nv = static_cast<double>(rows.size());
+// Charged as the Condense Unit computes it: only the kept lanes cost
+// MACs/fetch traffic, identical to summing the per-vertex charges.
+void RnnCell::charge_delta_rows(std::size_t rows, double total_nnz,
+                                OpCounts& counts) const {
+  const std::size_t gh = gates_ * h_;
+  const auto nv = static_cast<double>(rows);
   counts.macs += total_nnz * static_cast<double>(gh);
   counts.activations += nv * static_cast<double>(gh + h_);
   counts.feature_bytes += (total_nnz + nv * static_cast<double>(h_)) * 4.0;
   counts.output_bytes +=
       nv * static_cast<double>(h_ + cell_state_dim()) * 4.0;
   counts.delta_nnz += total_nnz;
-  counts.rnn_delta += rows.size();
+  counts.rnn_delta += rows;
 }
 
 void RnnCell::delta_update(const CondensedVector& dx,

@@ -19,13 +19,11 @@
 
 namespace tagnn {
 
-/// Caller-owned gate staging matrices (n x gates*H) reused across
-/// full_update_rows calls so the pre-activation buffers are not
-/// reallocated per snapshot. Engines keep one per run.
-struct RnnBatchScratch {
-  Matrix xpart;
-  Matrix hpart;
-};
+/// Kept so existing callers of the RnnBatchScratch overloads compile;
+/// holds nothing. The batched paths stage their gate products in
+/// per-thread tiles of one row block (see RnnCell::full_update_rows),
+/// not in n-row matrices.
+struct RnnBatchScratch {};
 
 class RnnCell {
  public:
@@ -50,17 +48,27 @@ class RnnCell {
                    std::span<float> c_out, std::span<float> cache,
                    OpCounts& counts) const;
 
-  /// Batched full update over the listed rows (strictly ascending):
-  /// both gate GEMVs of every listed vertex run as two masked GEMMs
-  /// over the whole batch (x * Wx accumulated onto bias-prefilled rows,
-  /// h_prev * Wh), then the per-vertex outputs are derived. h/c/cache
-  /// rows of `z`/`h`/`c`/`cache` are updated in place; unlisted rows
-  /// are untouched. Value-identical to calling full_update per row
-  /// (same ascending-k accumulation order) — the concurrent engine's
-  /// hot path.
+  /// Batched full update over the listed rows (strictly ascending).
+  /// The rows are walked in blocks of kBlockRows; per block both gate
+  /// GEMMs (x * Wx accumulated onto the bias, h_prev * Wh) run into
+  /// L1-resident tiles, which are then folded into the cache rows
+  /// before h/c are derived. h/c/cache rows of `h`/`c`/`cache` are
+  /// updated in place; unlisted rows are untouched. Value-identical to
+  /// calling full_update per row (same ascending-k accumulation order)
+  /// — the concurrent engine's hot path.
   void full_update_rows(const Matrix& z, std::span<const VertexId> rows,
                         Matrix& h, Matrix& c, Matrix& cache,
-                        RnnBatchScratch& ws, OpCounts& counts) const;
+                        OpCounts& counts) const;
+  void full_update_rows(const Matrix& z, std::span<const VertexId> rows,
+                        Matrix& h, Matrix& c, Matrix& cache,
+                        RnnBatchScratch& /*unused*/, OpCounts& counts) const {
+    full_update_rows(z, rows, h, c, cache, counts);
+  }
+
+  /// Rows per block of the batched paths: 16 rows of gate products
+  /// (16 x gates*H floats per tile) stay in L1 next to the weights'
+  /// working set.
+  static constexpr std::size_t kBlockRows = 16;
 
   /// Delta update (DeltaRNN-style): folds the sparse input delta `dx`
   /// and the sparse recurrent delta `dh` (drift of h since the last
@@ -84,16 +92,35 @@ class RnnCell {
 
   /// Batched delta update over the listed rows (strictly ascending):
   /// `dx`/`dh` hold the thresholded deltas as dense rows (zeros mark
-  /// unchanged lanes — see dense_delta), and both gate products run as
-  /// masked GEMMs over the whole batch before the per-row cache fold
-  /// and output derivation. `total_nnz` is the kept-lane count across
-  /// all listed rows, charged exactly as the per-vertex path charges
-  /// its condensed lanes. Matches per-row delta_update up to float
-  /// reassociation (the lane sum is formed before touching the cache).
+  /// unchanged lanes — see dense_delta). Per block of kBlockRows rows
+  /// both gate products run into L1 tiles, which are then folded onto
+  /// the cached pre-activations before h/c are derived. `total_nnz` is
+  /// the kept-lane count across all listed rows, charged exactly as the
+  /// per-vertex path charges its condensed lanes. Matches per-row
+  /// delta_update up to float reassociation (the lane sum is formed
+  /// before touching the cache).
   void delta_update_rows(const Matrix& dx, const Matrix& dh,
                          std::span<const VertexId> rows, double total_nnz,
                          Matrix& h, Matrix& c, Matrix& cache,
-                         RnnBatchScratch& ws, OpCounts& counts) const;
+                         OpCounts& counts) const;
+  void delta_update_rows(const Matrix& dx, const Matrix& dh,
+                         std::span<const VertexId> rows, double total_nnz,
+                         Matrix& h, Matrix& c, Matrix& cache,
+                         RnnBatchScratch& /*unused*/, OpCounts& counts) const {
+    delta_update_rows(dx, dh, rows, total_nnz, h, c, cache, counts);
+  }
+
+  /// Fused Condense Unit + batched delta update — the concurrent
+  /// engine's delta path. Each block first condenses its rows' drift
+  /// (z - z_applied, h - h_applied; dense_delta's keep rule with
+  /// threshold `eps`, kept lanes folded into the applied rows) straight
+  /// into per-thread tiles, then runs the same block routine as the
+  /// matrix-input overload. Byte-identical to dense_delta into dx/dh
+  /// rows followed by that overload, without the n-row delta matrices.
+  void delta_update_rows(const Matrix& z, Matrix& z_applied,
+                         Matrix& h_applied, float eps,
+                         std::span<const VertexId> rows, Matrix& h,
+                         Matrix& c, Matrix& cache, OpCounts& counts) const;
 
   /// MACs of one full update (for cost models).
   double full_update_macs() const {
@@ -105,6 +132,15 @@ class RnnCell {
                       std::span<const float> c_prev,
                       std::span<const float> cache, std::span<float> h_out,
                       std::span<float> c_out) const;
+
+  // The block routine behind the three batched entry points; see
+  // rnn.cpp. Returns the kept-lane count `source` reports.
+  template <class Source>
+  std::size_t update_blocks(std::span<const VertexId> rows, bool full,
+                            Matrix& h, Matrix& c, Matrix& cache,
+                            const Source& source) const;
+  void charge_delta_rows(std::size_t rows, double total_nnz,
+                         OpCounts& counts) const;
 
   const DgnnWeights& w_;
   RnnKind kind_;

@@ -34,9 +34,8 @@ struct GemmOpts {
   /// Cache-blocking parameters (kc/nc/mr).
   GemmBlocking blocking{};
   /// C += A * B instead of C = A * B: the produced rows are accumulated
-  /// onto their existing contents (used by the batched RNN gate
-  /// pre-activations, which start from the bias row). Forces the
-  /// streaming micro-kernels so the existing values are folded in.
+  /// onto their existing contents. Forces the streaming micro-kernels
+  /// so the existing values are folded in.
   bool accumulate = false;
 };
 
@@ -45,6 +44,15 @@ struct GemmOpts {
 /// packing and a registry-dispatched mr-row micro-kernel.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c,
           const GemmOpts& opts = {});
+
+/// Row-pointer form for small row blocks: c[i][0:n) = a[i][0:k) * B
+/// (+= when `accumulate`, as GemmOpts::accumulate) for every i, with
+/// the default blocking. Same micro-kernel dispatch and per-element
+/// order as ops::gemm, so each row is value-identical to it; serial —
+/// callers parallelise over blocks (the batched RNN gate products,
+/// which keep their A and C rows in L1-sized tiles).
+void gemm_rows(std::span<const float* const> a, const Matrix& b,
+               std::span<float* const> c, bool accumulate = false);
 
 struct GemvOpts {
   /// out[j] += ... instead of out[j] = ... (gate pre-activations start

@@ -1,6 +1,10 @@
 // Tests for the Condense Unit model and the sparse RNN delta path.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "nn/condense.hpp"
 #include "nn/rnn.hpp"
@@ -51,6 +55,58 @@ TEST(Condense, EmptyVector) {
   EXPECT_EQ(c.nnz(), 0u);
   EXPECT_EQ(c.dim, 0u);
   EXPECT_TRUE(expand(c).empty());
+}
+
+// dense_delta is condense_delta's dense twin: same keep rule (strict
+// |d| > threshold, NaN never kept, -0.0 never kept), same folding into
+// `applied`, same count — at every length, so the vectorised body and
+// its scalar tail are both exercised.
+TEST(Condense, DenseDeltaMatchesCondenseDelta) {
+  Rng rng(11);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float threshold : {0.0f, 0.25f}) {
+    for (std::size_t len = 1; len <= 67; ++len) {
+      std::vector<float> cur(len), applied(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        applied[i] = rng.normal();
+        switch ((i + len) % 6) {
+          case 0:  // |d| exactly at the threshold: dropped
+            applied[i] = 1.0f;
+            cur[i] = 1.0f + threshold;
+            break;
+          case 1:  // NaN drift: dropped
+            cur[i] = nan;
+            break;
+          case 2:  // negative-zero drift: dropped
+            cur[i] = -0.0f;
+            applied[i] = 0.0f;
+            break;
+          case 3:  // unchanged lane
+            cur[i] = applied[i];
+            break;
+          default:  // ordinary drift, kept or dropped by size
+            cur[i] = applied[i] + rng.normal();
+            break;
+        }
+      }
+      std::vector<float> applied_sparse = applied;
+      std::vector<float> applied_dense = applied;
+      const CondensedVector want =
+          condense_delta(cur, applied_sparse, threshold);
+      std::vector<float> out(len, 1.0f);
+      const std::size_t nnz = dense_delta(cur, applied_dense, threshold, out);
+
+      EXPECT_EQ(nnz, want.nnz()) << "len " << len;
+      EXPECT_EQ(std::memcmp(applied_sparse.data(), applied_dense.data(),
+                            len * sizeof(float)),
+                0)
+          << "len " << len;
+      const std::vector<float> expanded = expand(want);  // unkept: +0.0
+      EXPECT_EQ(std::memcmp(expanded.data(), out.data(), len * sizeof(float)),
+                0)
+          << "len " << len << " threshold " << threshold;
+    }
+  }
 }
 
 class SparseDenseEquivalence : public ::testing::TestWithParam<RnnKind> {};

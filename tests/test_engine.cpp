@@ -7,6 +7,7 @@
 #include "graph/datasets.hpp"
 #include "nn/engine.hpp"
 #include "nn/gcn.hpp"
+#include "param_names.hpp"
 #include "tensor/ops.hpp"
 
 namespace tagnn {
@@ -53,7 +54,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple("GC-LSTM", "GT"),
                       std::make_tuple("CD-GCN", "GT"),
                       std::make_tuple("T-GCN", "HP"),
-                      std::make_tuple("T-GCN", "EP")));
+                      std::make_tuple("T-GCN", "EP")),
+    test::ModelDatasetName());
 
 TEST(Engine, ReuseReducesGnnWork) {
   const Scenario s = make("T-GCN", "GT");

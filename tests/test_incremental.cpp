@@ -5,6 +5,7 @@
 
 #include "graph/datasets.hpp"
 #include "graph/incremental.hpp"
+#include "param_names.hpp"
 
 namespace tagnn {
 namespace {
@@ -52,7 +53,8 @@ TEST_P(IncrementalSweep, RandomJumpsMatchToo) {
 INSTANTIATE_TEST_SUITE_P(
     DatasetsAndWindows, IncrementalSweep,
     ::testing::Combine(::testing::Values("HP", "GT", "EP"),
-                       ::testing::Values(2, 3, 4)));
+                       ::testing::Values(2, 3, 4)),
+    test::DatasetWindowName());
 
 TEST(Incremental, SlideTouchesFewVertices) {
   const DynamicGraph g = datasets::load("HP", 0.2, 8);

@@ -39,8 +39,11 @@ struct ScopedIsa {
 };
 
 bool bytes_equal(const Matrix& a, const Matrix& b) {
+  // An empty Matrix (a GRU's cell state) may hold a null data pointer,
+  // which memcmp must not see even for zero bytes.
   return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 bool bytes_equal(const std::vector<float>& a, const std::vector<float>& b) {
@@ -429,6 +432,35 @@ TEST(KernelRegistry, IsaSweepSpmmBitExact) {
   EXPECT_TRUE(bytes_equal(run("scalar"), run("avx2")));
 }
 
+// ---------- ops::gemm_rows vs ops::gemm ----------
+
+// The row-pointer form shares ops::gemm's panel walk and dispatch; with
+// k > kc or n > nc it packs B panel by panel instead of using B in place.
+TEST(GemmRows, MatchesGemmInPlaceAndPacked) {
+  const struct { std::size_t m, k, n; } shapes[] = {
+      {5, 41, 29}, {16, 32, 144}, {7, 520, 45}, {6, 100, 257}, {9, 600, 300},
+  };
+  for (const auto& s : shapes) {
+    const Matrix a = rand_mat(s.m, s.k, s.m * 31 + s.k, 0.2f);
+    const Matrix b = rand_mat(s.k, s.n, s.k * 7 + s.n);
+    for (const bool accumulate : {false, true}) {
+      Matrix want(s.m, s.n), got(s.m, s.n);
+      want.fill(0.25f);
+      got.fill(0.25f);
+      ops::gemm(a, b, want, {.accumulate = accumulate});
+      std::vector<const float*> arows;
+      std::vector<float*> crows;
+      for (std::size_t i = 0; i < s.m; ++i) {
+        arows.push_back(a.row(i).data());
+        crows.push_back(got.row(i).data());
+      }
+      ops::gemm_rows(arows, b, crows, accumulate);
+      EXPECT_TRUE(bytes_equal(want, got))
+          << s.m << "x" << s.k << "x" << s.n << " accumulate " << accumulate;
+    }
+  }
+}
+
 // ---------- ops::gemm accumulate mode vs the gemv path ----------
 
 // The RNN batch path relies on this: prefilling C rows (bias) and
@@ -598,6 +630,191 @@ TEST(RnnBatch, DeltaUpdateRowsMatchesPerVertex) {
     EXPECT_EQ(counts_want.rnn_delta, counts_got.rnn_delta) << preset;
     EXPECT_EQ(counts_want.feature_bytes, counts_got.feature_bytes) << preset;
   }
+}
+
+// ---------- blocked RNN row paths vs the staged composition ----------
+
+// The batched paths used to stage both gate products of every listed
+// row through n-row matrices (masked ops::gemm), then fold them into
+// the cache and derive h/c row by row. The blocked paths must be
+// byte-identical to that composition. A zero delta_update derives h/c
+// from the cache exactly as the batched paths do (all-zero lanes are
+// skipped), so it stands in for the private derivation step.
+struct RnnRowsFixture {
+  RnnRowsFixture(const char* preset, std::size_t num_rows)
+      : w(DgnnWeights::init(ModelConfig::preset(preset), 12, 7)),
+        cell(w),
+        n(2 * num_rows + 3),
+        z(rand_mat(n, cell.input_dim(), 91, 0.2f)),
+        h(rand_mat(n, cell.hidden(), 92)),
+        c(rand_mat(n, cell.cell_state_dim(), 93)),
+        cache(rand_mat(n, cell.cache_dim(), 94)) {
+    // Every other row: scattered, ascending.
+    for (VertexId v = 0; rows.size() < num_rows; v += 2) rows.push_back(v);
+  }
+
+  // Folds staged gate products into the listed cache rows and derives
+  // h/c from them, as the batched paths did before blocking.
+  void fold_and_derive(const Matrix& xpart, const Matrix& hpart, bool full,
+                       Matrix& h_io, Matrix& c_io, Matrix& cache_io) const {
+    const std::size_t gh = w.rnn_wx.cols();
+    const bool lstm = cell.kind() == RnnKind::kLstm;
+    const std::vector<float> zx(cell.input_dim(), 0.0f);
+    const std::vector<float> zh(cell.hidden(), 0.0f);
+    OpCounts unused;
+    for (const VertexId v : rows) {
+      float* vc = cache_io.row(v).data();
+      const float* xp = xpart.row(v).data();
+      const float* hp = hpart.row(v).data();
+      for (std::size_t j = 0; j < gh; ++j) {
+        if (lstm) {
+          vc[j] = full ? xp[j] + hp[j] : (vc[j] + xp[j]) + hp[j];
+        } else {
+          vc[j] = full ? xp[j] : vc[j] + xp[j];
+          vc[gh + j] = full ? hp[j] : vc[gh + j] + hp[j];
+        }
+      }
+      cell.delta_update(zx, zh, h_io.row(v), c_io.row(v), h_io.row(v),
+                        c_io.row(v), cache_io.row(v), unused);
+    }
+  }
+
+  void staged_full(Matrix& h_io, Matrix& c_io, Matrix& cache_io) const {
+    const std::size_t gh = w.rnn_wx.cols();
+    Matrix xpart(n, gh), hpart(n, gh);
+    for (const VertexId v : rows) {
+      std::copy(w.rnn_b.data(), w.rnn_b.data() + gh, xpart.row(v).data());
+    }
+    ops::gemm(z, w.rnn_wx, xpart, {.rows = rows, .accumulate = true});
+    ops::gemm(h_io, w.rnn_wh, hpart, {.rows = rows});
+    fold_and_derive(xpart, hpart, /*full=*/true, h_io, c_io, cache_io);
+  }
+
+  void staged_delta(const Matrix& dx, const Matrix& dh, Matrix& h_io,
+                    Matrix& c_io, Matrix& cache_io) const {
+    const std::size_t gh = w.rnn_wx.cols();
+    Matrix xpart(n, gh), hpart(n, gh);
+    ops::gemm(dx, w.rnn_wx, xpart, {.rows = rows});
+    ops::gemm(dh, w.rnn_wh, hpart, {.rows = rows});
+    fold_and_derive(xpart, hpart, /*full=*/false, h_io, c_io, cache_io);
+  }
+
+  DgnnWeights w;
+  RnnCell cell;
+  std::size_t n;
+  Matrix z, h, c, cache;
+  std::vector<VertexId> rows;
+};
+
+bool counts_equal(const OpCounts& a, const OpCounts& b) {
+  return a.macs == b.macs && a.activations == b.activations &&
+         a.feature_bytes == b.feature_bytes &&
+         a.output_bytes == b.output_bytes && a.delta_nnz == b.delta_nnz &&
+         a.rnn_full == b.rnn_full && a.rnn_delta == b.rnn_delta;
+}
+
+// Row counts straddle the 16-row block and the 4-row micro-kernel.
+constexpr std::size_t kRowCounts[] = {0, 1, 3, 4, 5, 15, 16, 17, 33, 65};
+
+// Runs fn(preset, rows) under every (ISA, thread count) combination.
+template <class Fn>
+void for_each_rnn_config(Fn&& fn) {
+  std::vector<const char*> isas = {"scalar"};
+  if (kernels::CpuFeatures::host().avx2) isas.push_back("avx2");
+  for (const char* cap : isas) {
+    ScopedIsa isa(cap);
+    ASSERT_TRUE(isa.ok) << isa.error;
+    for (const std::size_t threads : {1u, 4u}) {
+      ScopedGlobalThreadPool pool(threads);
+      for (const char* preset : {"T-GCN", "CD-GCN"}) {  // GRU and LSTM
+        for (const std::size_t num_rows : kRowCounts) {
+          SCOPED_TRACE(::testing::Message()
+                       << cap << " threads=" << threads << " " << preset
+                       << " rows=" << num_rows);
+          fn(preset, num_rows);
+        }
+      }
+    }
+  }
+}
+
+TEST(RnnBatch, BlockedFullRowsMatchStagedComposition) {
+  for_each_rnn_config([](const char* preset, std::size_t num_rows) {
+    const RnnRowsFixture f(preset, num_rows);
+    Matrix h_want = f.h, c_want = f.c, cache_want = f.cache;
+    f.staged_full(h_want, c_want, cache_want);
+
+    Matrix h_got = f.h, c_got = f.c, cache_got = f.cache;
+    OpCounts counts_got;
+    f.cell.full_update_rows(f.z, f.rows, h_got, c_got, cache_got,
+                            counts_got);
+    EXPECT_TRUE(bytes_equal(h_want, h_got));
+    EXPECT_TRUE(bytes_equal(c_want, c_got));
+    EXPECT_TRUE(bytes_equal(cache_want, cache_got));
+    EXPECT_EQ(counts_got.macs,
+              static_cast<double>(num_rows) * f.cell.full_update_macs());
+    EXPECT_EQ(counts_got.rnn_full, num_rows);
+  });
+}
+
+TEST(RnnBatch, BlockedDeltaRowsMatchStagedComposition) {
+  for_each_rnn_config([](const char* preset, std::size_t num_rows) {
+    const RnnRowsFixture f(preset, num_rows);
+    const Matrix dx = rand_mat(f.n, f.cell.input_dim(), 95, 0.3f);
+    const Matrix dh = rand_mat(f.n, f.cell.hidden(), 96, 0.3f);
+    Matrix h_want = f.h, c_want = f.c, cache_want = f.cache;
+    f.staged_delta(dx, dh, h_want, c_want, cache_want);
+
+    Matrix h_got = f.h, c_got = f.c, cache_got = f.cache;
+    OpCounts counts_got;
+    f.cell.delta_update_rows(dx, dh, f.rows, /*total_nnz=*/7.0, h_got, c_got,
+                             cache_got, counts_got);
+    EXPECT_TRUE(bytes_equal(h_want, h_got));
+    EXPECT_TRUE(bytes_equal(c_want, c_got));
+    EXPECT_TRUE(bytes_equal(cache_want, cache_got));
+    if (num_rows > 0) {
+      const auto gh = static_cast<double>(f.w.rnn_wx.cols());
+      EXPECT_EQ(counts_got.macs, 7.0 * gh);
+      EXPECT_EQ(counts_got.delta_nnz, 7.0);
+      EXPECT_EQ(counts_got.rnn_delta, num_rows);
+    }
+  });
+}
+
+// The engine's fused entry condenses each block's drift into tiles; it
+// must equal dense_delta into n-row delta matrices followed by the
+// matrix-input delta_update_rows, applied rows and op counts included.
+TEST(RnnBatch, FusedCondenseMatchesDenseDeltaThenRows) {
+  for_each_rnn_config([](const char* preset, std::size_t num_rows) {
+    const RnnRowsFixture f(preset, num_rows);
+    const float eps = 0.3f;  // drops a share of the lanes
+    const Matrix z_applied = rand_mat(f.n, f.cell.input_dim(), 97, 0.1f);
+    const Matrix h_applied = rand_mat(f.n, f.cell.hidden(), 98, 0.1f);
+
+    Matrix h_want = f.h, c_want = f.c, cache_want = f.cache;
+    Matrix za_want = z_applied, ha_want = h_applied;
+    Matrix dx(f.n, f.cell.input_dim()), dh(f.n, f.cell.hidden());
+    std::size_t nnz = 0;
+    for (const VertexId v : f.rows) {
+      nnz += dense_delta(f.z.row(v), za_want.row(v), eps, dx.row(v));
+      nnz += dense_delta(h_want.row(v), ha_want.row(v), eps, dh.row(v));
+    }
+    OpCounts counts_want;
+    f.cell.delta_update_rows(dx, dh, f.rows, static_cast<double>(nnz),
+                             h_want, c_want, cache_want, counts_want);
+
+    Matrix h_got = f.h, c_got = f.c, cache_got = f.cache;
+    Matrix za_got = z_applied, ha_got = h_applied;
+    OpCounts counts_got;
+    f.cell.delta_update_rows(f.z, za_got, ha_got, eps, f.rows, h_got, c_got,
+                             cache_got, counts_got);
+    EXPECT_TRUE(bytes_equal(h_want, h_got));
+    EXPECT_TRUE(bytes_equal(c_want, c_got));
+    EXPECT_TRUE(bytes_equal(cache_want, cache_got));
+    EXPECT_TRUE(bytes_equal(za_want, za_got));
+    EXPECT_TRUE(bytes_equal(ha_want, ha_got));
+    EXPECT_TRUE(counts_equal(counts_want, counts_got));
+  });
 }
 
 // ---------- forced-scalar engine equivalence ----------

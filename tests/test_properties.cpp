@@ -12,6 +12,7 @@
 #include "graph/formats.hpp"
 #include "graph/ocsr.hpp"
 #include "nn/engine.hpp"
+#include "param_names.hpp"
 #include "tagnn/dispatcher.hpp"
 #include "tensor/ops.hpp"
 
@@ -96,7 +97,8 @@ TEST_P(WindowSweep, OcsrNeverLargerThanCsrWindow) {
 INSTANTIATE_TEST_SUITE_P(
     DatasetsAndWindows, WindowSweep,
     ::testing::Combine(::testing::Values("HP", "GT", "ML", "EP"),
-                       ::testing::Values(2, 3, 4)));
+                       ::testing::Values(2, 3, 4)),
+    test::DatasetWindowName());
 
 // ---------- engine exactness across window sizes ----------
 
@@ -118,7 +120,8 @@ TEST_P(ExactnessWindowSweep, GnnReuseIsLosslessForAnyWindow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Windows, ExactnessWindowSweep,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 9));
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 9),
+                         ::testing::PrintToStringParamName());
 
 // ---------- dispatcher properties ----------
 
@@ -156,7 +159,8 @@ TEST_P(DispatcherSeeds, MakespanBounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DispatcherSeeds,
-                         ::testing::Values(1, 2, 3, 4, 5));
+                         ::testing::Values(1, 2, 3, 4, 5),
+                         ::testing::PrintToStringParamName());
 
 // ---------- similarity-policy monotonicity on the real engine ----------
 
@@ -242,7 +246,8 @@ TEST_P(GeneratorSeeds, PresenceConsistentWithEdges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorSeeds,
-                         ::testing::Values(1, 7, 42, 1234));
+                         ::testing::Values(1, 7, 42, 1234),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace tagnn

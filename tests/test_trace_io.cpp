@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <sys/wait.h>
+
 #include "graph/datasets.hpp"
 #include "graph/trace_io.hpp"
 #include "nn/engine.hpp"
@@ -126,6 +128,37 @@ TEST(TraceTool, InfoReportEscapesHostileTraceName) {
   EXPECT_DOUBLE_EQ(v.number_at("avg_edges"), hostile.avg_edges());
   std::remove(tgt.c_str());
   std::remove(report.c_str());
+}
+
+// `gen` must refuse a misspelt option and an option missing its value
+// with the usage text and exit 2, instead of writing a trace built from
+// the defaults.
+TEST(TraceTool, GenRefusesUnknownOrValuelessOption) {
+  const std::string tgt = ::testing::TempDir() + "tagnn_gen_bad_opts.tgt";
+  const std::string err = ::testing::TempDir() + "tagnn_gen_bad_opts.err";
+  for (const char* opts : {"--sclae 0.05", "--scale 0.05 --snapshots",
+                           "--dataset"}) {
+    std::remove(tgt.c_str());
+    const std::string cmd = std::string("'") + TAGNN_TRACE_TOOL + "' gen '" +
+                            tgt + "' " + opts + " > /dev/null 2> '" + err +
+                            "'";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    std::ifstream in(err);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("usage: tagnn_trace gen"), std::string::npos) << cmd;
+    EXPECT_FALSE(std::ifstream(tgt).good()) << cmd << " wrote a trace";
+  }
+  // The well-formed spelling still works.
+  const std::string ok = std::string("'") + TAGNN_TRACE_TOOL + "' gen '" +
+                         tgt + "' --dataset GT --scale 0.05 --snapshots 3" +
+                         " > /dev/null";
+  ASSERT_EQ(std::system(ok.c_str()), 0) << ok;
+  EXPECT_EQ(read_trace_file(tgt).num_snapshots(), 3u);
+  std::remove(tgt.c_str());
+  std::remove(err.c_str());
 }
 
 }  // namespace

@@ -74,12 +74,20 @@ int cmd_gen(const std::vector<std::string>& args, TraceStats& stats) {
   std::string dataset = "GT";
   double scale = 0.3;
   std::size_t snapshots = 8;
-  for (std::size_t i = 1; i + 1 < args.size(); i += 2) {
+  // Every option takes a value; an unknown option or a missing value is
+  // a usage error, not a silently ignored one.
+  for (std::size_t i = 1; i < args.size(); i += 2) {
     const std::string& a = args[i];
-    if (a == "--dataset") dataset = args[i + 1];
-    if (a == "--scale") scale = std::atof(args[i + 1].c_str());
-    if (a == "--snapshots") {
-      snapshots = static_cast<std::size_t>(std::atoi(args[i + 1].c_str()));
+    if (i + 1 == args.size()) usage();
+    const std::string& val = args[i + 1];
+    if (a == "--dataset") {
+      dataset = val;
+    } else if (a == "--scale") {
+      scale = std::atof(val.c_str());
+    } else if (a == "--snapshots") {
+      snapshots = static_cast<std::size_t>(std::atoi(val.c_str()));
+    } else {
+      usage();
     }
   }
   const DynamicGraph g = datasets::load(dataset, scale, snapshots);
