@@ -134,21 +134,19 @@ inline double median_of(std::vector<double> xs) {
   return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
-/// Runs `fn` `warmup` times unmeasured (touches code + data caches,
-/// spins up the thread pool), then `iters` measured times.
+/// Wall time of one call of `fn`, in seconds.
 template <typename F>
-TimingStats time_median(F&& fn, int iters, int warmup = 1) {
-  for (int i = 0; i < warmup; ++i) fn();
-  std::vector<double> secs;
-  secs.reserve(static_cast<std::size_t>(iters));
-  for (int i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    secs.push_back(std::chrono::duration<double>(t1 - t0).count());
-  }
+double time_once(F&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// Median and MAD-to-median ratio of a set of measured run times.
+inline TimingStats timing_stats(const std::vector<double>& secs) {
   TimingStats st;
-  st.iters = iters;
+  st.iters = static_cast<int>(secs.size());
   st.median_sec = median_of(secs);
   if (st.median_sec > 0) {
     std::vector<double> dev;
@@ -157,6 +155,17 @@ TimingStats time_median(F&& fn, int iters, int warmup = 1) {
     st.mad_frac = median_of(dev) / st.median_sec;
   }
   return st;
+}
+
+/// Runs `fn` `warmup` times unmeasured (touches code + data caches,
+/// spins up the thread pool), then `iters` measured times.
+template <typename F>
+TimingStats time_median(F&& fn, int iters, int warmup = 1) {
+  for (int i = 0; i < warmup; ++i) fn();
+  std::vector<double> secs;
+  secs.reserve(static_cast<std::size_t>(iters));
+  for (int i = 0; i < iters; ++i) secs.push_back(time_once(fn));
+  return timing_stats(secs);
 }
 
 }  // namespace tagnn::bench

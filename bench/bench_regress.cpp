@@ -229,7 +229,9 @@ Entry bench_engine(const Options& o, int iters) {
 // under the sampler, so the speedup sits at ~1.0 and the in-binary
 // check below enforces the documented promise directly: <= 1% median
 // overhead, plus a noise allowance derived from the measured MAD so a
-// loaded CI runner doesn't flake the gate.
+// loaded CI runner doesn't flake the gate. The two kinds of run
+// alternate per iteration, so a slow host period lands on both sides
+// instead of on one block of runs.
 Entry bench_engine_live_sampler(const Options& o, int iters) {
   iters = std::max(iters, 15);
   const bench::Workload wl = [&] {
@@ -248,20 +250,24 @@ Entry bench_engine_live_sampler(const Options& o, int iters) {
   Entry e;
   e.name = "engine_live_sampler";
   OpCounts counts;
-  e.naive = bench::time_median(
-      [&] {
-        const EngineResult r = ConcurrentEngine(opts).run(wl.g, wl.w);
-        counts = r.total_counts();
-      },
-      iters);
-  {
-    obs::live::LiveSampler sampler(
-        {/*interval_ms=*/50, /*ring_capacity=*/64});
+  const auto run = [&] {
+    const EngineResult r = ConcurrentEngine(opts).run(wl.g, wl.w);
+    counts = r.total_counts();
+  };
+  run();  // warm-up
+  obs::live::LiveSampler sampler({/*interval_ms=*/50, /*ring_capacity=*/64});
+  std::vector<double> off, on;
+  for (int i = 0; i < iters; ++i) {
+    off.push_back(bench::time_once(run));
+    // The sampler's synchronous first sample and thread start evict
+    // the engine's data; one untimed run absorbs them.
     sampler.start();
-    e.opt = bench::time_median(
-        [&] { ConcurrentEngine(opts).run(wl.g, wl.w); }, iters);
+    run();
+    on.push_back(bench::time_once(run));
     sampler.stop();
   }
+  e.naive = bench::timing_stats(off);
+  e.opt = bench::timing_stats(on);
   e.macs = counts.macs;
   e.bytes = counts.feature_bytes + counts.weight_bytes +
             counts.structure_bytes + counts.output_bytes;

@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
@@ -455,13 +455,16 @@ void write_json_number(std::ostream& os, double v) {
     return;
   }
   // Shortest decimal that round-trips: try 15 significant digits, fall
-  // back to 17 (always exact for IEEE binary64).
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  // back to 17 (always exact for IEEE binary64). to_chars with a
+  // precision is printf's %.*g in the "C" locale: the same bytes.
+  char buf[32];
+  constexpr auto kGeneral = std::chars_format::general;
+  auto res = std::to_chars(buf, buf + sizeof(buf), v, kGeneral, 15);
+  double back = 0;
+  if (std::from_chars(buf, res.ptr, back).ec != std::errc{} || back != v) {
+    res = std::to_chars(buf, buf + sizeof(buf), v, kGeneral, 17);
   }
-  os << buf;
+  os.write(buf, res.ptr - buf);
 }
 
 std::uint64_t json_nonfinite_warnings() {

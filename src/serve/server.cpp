@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <utility>
 
@@ -146,28 +145,15 @@ void ServeCore::worker_loop(TenantHost& host) {
       }
       return;
     }
-    // Coalesce: hold the batch open up to batch_window_ms (or until it
-    // is full) so bursts dispatch together.
-    if (opts_.batch_window_ms > 0 && host.queue.size() < opts_.max_batch) {
-      const Stopwatch window;
-      while (!stopping_.load(std::memory_order_acquire) &&
-             host.queue.size() < opts_.max_batch) {
-        const double left_ms = opts_.batch_window_ms - window.millis();
-        if (left_ms <= 0) break;
-        host.cv.wait_for(
-            lock, std::chrono::duration<double, std::milli>(left_ms));
-      }
-    }
+    // Dispatch on arrival: take whatever queued while the worker was
+    // busy, up to max_batch, without waiting for more.
     std::vector<Pending> batch;
     while (!host.queue.empty() && batch.size() < opts_.max_batch) {
       batch.push_back(std::move(host.queue.front()));
       host.queue.pop_front();
     }
     lock.unlock();
-    if (!batch.empty()) {
-      obs::record("tagnn.serve.batch_size",
-                  static_cast<double>(batch.size()));
-    }
+    obs::record("tagnn.serve.batch_size", static_cast<double>(batch.size()));
     for (Pending& p : batch) {
       Reply r = host.tenant.apply(p.req);
       host.epoch.store(host.tenant.epoch(), std::memory_order_relaxed);

@@ -1,5 +1,5 @@
 // ServeCore: multi-tenant request execution with admission control and
-// batch-window coalescing. ServePlane: ServeCore mounted onto the live
+// dispatch on arrival. ServePlane: ServeCore mounted onto the live
 // telemetry plane's HTTP server (docs/SERVING.md).
 //
 // Each tenant gets one worker thread and one bounded FIFO queue.
@@ -8,11 +8,12 @@
 // otherwise it is shed immediately with Status::kOverloaded (HTTP 429)
 // — explicit backpressure instead of unbounded buffering, and one
 // tenant's overload cannot occupy another tenant's queue or worker.
-// The worker coalesces admitted requests: after the first request of a
-// batch arrives it waits up to batch_window_ms for more (bounded by
-// max_batch), then applies the batch in admission order. Because a
-// tenant's replies depend only on its request order, coalescing never
-// changes response bytes — only latency (tested).
+// The worker dispatches as soon as it is free: it takes whatever is
+// queued (up to max_batch) and applies it in admission order, so a
+// request reaching an idle worker runs at once, and requests that
+// queued behind a busy worker leave together. Because a tenant's
+// replies depend only on its request order, batching never changes
+// response bytes — only latency (tested).
 //
 // End-to-end latency (admission to reply) is recorded into a core-local
 // histogram (served as /slo.json) and the global metrics registry
@@ -48,10 +49,7 @@ struct SloTargets {
 
 struct ServeOptions {
   std::vector<TenantConfig> tenants;
-  /// How long a worker holds the first request of a batch waiting for
-  /// more (0 = dispatch immediately).
-  double batch_window_ms = 2.0;
-  /// Max requests coalesced into one dispatch.
+  /// Max queued requests a worker takes into one dispatch.
   std::size_t max_batch = 8;
   SloTargets slo;
 };

@@ -3,11 +3,18 @@
 // torn-final-line tolerance, and the non-finite-safe number writer.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "obs/json.hpp"
 
 namespace tagnn::obs {
@@ -151,6 +158,61 @@ TEST(WriteJsonNumber, NonFiniteBecomesNullAndCounts) {
   EXPECT_EQ(json_nonfinite_warnings(), 2u);
   reset_json_nonfinite_warnings();
   EXPECT_EQ(json_nonfinite_warnings(), 0u);
+}
+
+// The writer's earlier definition, kept as the oracle: 15 significant
+// digits through printf, checked by strtod, else 17.
+std::string printf_oracle(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
+  if (std::strtod(buf, nullptr) != v) {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+std::string written(double v) {
+  std::ostringstream os;
+  write_json_number(os, v);
+  return os.str();
+}
+
+TEST(WriteJsonNumber, MatchesPrintfOracleOnEdgeValues) {
+  std::vector<double> values = {
+      0.0, -0.0, 5e-324, -5e-324, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+      1e21, 1e-7, 9007199254740993.0, 0.1, 1.0, -1.0, 100.0, 1e15, 1e16,
+      1e17, 123456789012345678.0, 1e-5, 1e-4, 0.5, 2.5e-308, 1.0 / 3.0};
+  for (const float f : {0.1f, 1.1f, 3.14159274f, 1e-45f, FLT_MIN, FLT_MAX,
+                        16777217.0f, -2.5e-3f}) {
+    values.push_back(static_cast<double>(f));
+  }
+  for (const double v : values) {
+    EXPECT_EQ(written(v), printf_oracle(v)) << printf_oracle(v);
+  }
+  EXPECT_EQ(written(-0.0), "-0");
+  EXPECT_EQ(written(1e21), "1e+21");
+  EXPECT_EQ(written(1e-7), "1e-07");
+}
+
+TEST(WriteJsonNumber, MatchesPrintfOracleOnRandomBitPatterns) {
+  Rng rng(20261020);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    const auto bits32 = static_cast<std::uint32_t>(rng.next_u64());
+    float f;
+    std::memcpy(&f, &bits32, sizeof(f));
+    for (const double v : {d, static_cast<double>(f)}) {
+      if (!std::isfinite(v)) continue;
+      const std::string want = printf_oracle(v);
+      if (written(v) != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "writer differs from printf for " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(WriteJsonNumber, RoundTripsDoubles) {

@@ -1,15 +1,17 @@
 // Tests for the serving layer (src/serve): protocol parsing/rendering,
-// tenant semantics, batch-window coalescing determinism (byte-identical
-// replies vs unbatched execution), admission control (shed then
-// recover, multi-tenant isolation), a TSan-facing concurrent
-// ingest+infer stress, the HTTP round trip through ServePlane, and a
-// forked crash leaving a parseable flight dump while serving.
+// tenant semantics, batching determinism (byte-identical replies vs
+// unbatched execution), dispatch on arrival (a lone request is not
+// held), admission control (shed then recover, multi-tenant
+// isolation), a TSan-facing concurrent ingest+infer stress, the HTTP
+// round trip through ServePlane, and a forked crash leaving a
+// parseable flight dump while serving.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -18,11 +20,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/stopwatch.hpp"
 #include "obs/json.hpp"
 #include "obs/live/flight_recorder.hpp"
 #include "obs/live/http.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/tenant.hpp"
@@ -215,12 +221,22 @@ TEST(ServeTenant, RejectsBadRequests) {
   EXPECT_EQ(t.ingest(bad).status, Status::kBadRequest);
 }
 
-// ------------------------------------------------- coalescing determinism
+// ------------------------------------------------- batching determinism
 
-// The same request sequence through an unbatched core (batch window 0,
-// max batch 1) and a coalescing core (25 ms window, batch 8) must yield
-// byte-identical reply bodies per request — batching may only change
-// timing, never results.
+// Sum and count of the tagnn.serve.batch_size histogram so far.
+std::pair<double, std::uint64_t> batch_size_totals() {
+  const auto snap = obs::MetricsRegistry::global().snapshot();
+  const obs::MetricValue* m = snap.find("tagnn.serve.batch_size");
+  return m == nullptr ? std::make_pair(0.0, std::uint64_t{0})
+                      : std::make_pair(m->hist.sum, m->hist.count);
+}
+
+// The same request sequence through an unbatched core (max batch 1) and
+// a batching core (max batch 8) must yield byte-identical reply bodies
+// per request — batching may only change timing, never results. The
+// whole sequence is queued with try_submit at once, so requests back
+// up behind the first one (a long stream advance) and batches form
+// from that backlog.
 std::vector<std::string> run_sequence(const ServeOptions& opts,
                                       const std::vector<Request>& seq) {
   ServeCore core(opts);
@@ -247,7 +263,9 @@ std::vector<std::string> run_sequence(const ServeOptions& opts,
 }
 
 TEST(ServeCoalescing, BatchedRepliesAreByteIdenticalToUnbatched) {
+  obs::ScopedTelemetryEnabled telemetry(true);
   std::vector<Request> seq;
+  seq.push_back(ingest_req("a", 120));  // heavy: 40 windows
   seq.push_back(ingest_req("a", 1));
   seq.push_back(infer_req("a", {0, 1}));
   seq.push_back(ingest_req("a", 2));
@@ -269,22 +287,50 @@ TEST(ServeCoalescing, BatchedRepliesAreByteIdenticalToUnbatched) {
 
   ServeOptions unbatched;
   unbatched.tenants = {small_tenant("a")};
-  unbatched.batch_window_ms = 0;
   unbatched.max_batch = 1;
 
   ServeOptions batched;
   batched.tenants = {small_tenant("a")};
-  batched.batch_window_ms = 25;
   batched.max_batch = 8;
 
   const auto plain = run_sequence(unbatched, seq);
+  const auto before = batch_size_totals();
   const auto coalesced = run_sequence(batched, seq);
+  const auto after = batch_size_totals();
+  if (obs::telemetry_enabled()) {
+    // Some dispatch took more than one request: the batch sizes sum to
+    // more than the number of dispatches.
+    EXPECT_GT(after.first - before.first,
+              static_cast<double>(after.second - before.second));
+  }
   ASSERT_EQ(plain.size(), coalesced.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i], coalesced[i]) << "request " << i;
     EXPECT_NE(plain[i].find("\"status\": \"ok\""), std::string::npos)
         << plain[i];
   }
+}
+
+// ------------------------------------------------- dispatch on arrival
+
+// A request reaching an idle worker runs at once: cached infers on a
+// primed tenant answer in well under the 2 ms a batch hold would add.
+TEST(ServeCore, LoneRequestIsNotHeld) {
+  ServeOptions opts;
+  opts.tenants = {small_tenant("a")};
+  ServeCore core(opts);
+  core.start();
+  ASSERT_EQ(core.submit(ingest_req("a", 3)).status, Status::kOk);
+  ASSERT_EQ(core.submit(infer_req("a")).status, Status::kOk);
+  std::vector<double> ms;
+  for (int i = 0; i < 51; ++i) {
+    const Stopwatch sw;
+    ASSERT_EQ(core.submit(infer_req("a")).status, Status::kOk);
+    ms.push_back(sw.millis());
+  }
+  core.stop();
+  std::nth_element(ms.begin(), ms.begin() + 25, ms.end());
+  EXPECT_LT(ms[25], 2.0);
 }
 
 // ---------------------------------------------------- admission control
@@ -294,7 +340,6 @@ TEST(ServeAdmission, ShedsThenRecovers) {
   TenantConfig cfg = small_tenant("a");
   cfg.max_queue = 2;
   opts.tenants = {cfg};
-  opts.batch_window_ms = 0;
   opts.max_batch = 1;
   ServeCore core(opts);
   core.start();
@@ -333,7 +378,6 @@ TEST(ServeAdmission, OverloadedTenantCannotStarveAnother) {
   TenantConfig victim = small_tenant("victim");
   victim.max_queue = 2;
   opts.tenants = {victim, small_tenant("other")};
-  opts.batch_window_ms = 0;
   opts.max_batch = 1;
   ServeCore core(opts);
   core.start();
@@ -350,8 +394,13 @@ TEST(ServeAdmission, OverloadedTenantCannotStarveAnother) {
       }
     }
   });
-  // While the victim floods and sheds, the other tenant's requests are
-  // admitted and answered.
+  // Once the victim is shedding (the flooder thread may take a few ms
+  // to get there), the other tenant's requests are admitted and
+  // answered.
+  const Stopwatch flooding;
+  while (core.counters("victim").shed == 0 && flooding.seconds() < 10) {
+    std::this_thread::yield();
+  }
   ASSERT_EQ(core.submit(ingest_req("other", 3)).status, Status::kOk);
   for (int i = 0; i < 5; ++i) {
     const Reply r = core.submit(infer_req("other"));
@@ -376,7 +425,6 @@ TEST(ServeStress, ConcurrentIngestInferAcrossTenants) {
   a.engine.window_size = 2;
   b.engine.window_size = 2;
   opts.tenants = {a, b};
-  opts.batch_window_ms = 1;
   opts.max_batch = 4;
   ServeCore core(opts);
   core.start();

@@ -293,7 +293,7 @@ EOF
 
   # Negative leg: tiny admission queue under an open-loop burst.
   "$build_dir/tools/tagnn_serve" --port 0 --tenants 1 --max-queue 1 \
-    --batch-window-ms 20 --max-runtime-s 120 \
+    --max-runtime-s 120 \
     > "$dir/shed_serve.out" 2> "$dir/shed_serve.log" &
   pid=$!
   port=""

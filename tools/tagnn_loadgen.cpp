@@ -3,10 +3,11 @@
 // Modes (docs/SERVING.md):
 //   closed    C workers, each with one request in flight (closed loop).
 //   open      Poisson arrivals at --qps across C sender threads; late
-//             senders fire immediately (degraded open loop).
+//             senders fire immediately, timed from the scheduled arrival.
 //   saturate  repeats open-loop steps with geometrically ramped QPS
-//             until the step violates the p99 target or sheds more
-//             than --max-shed-rate; reports max sustained throughput.
+//             until the step violates the p99 target, sheds more than
+//             --max-shed-rate or answers below 95% of the rate its
+//             schedule offered; reports max sustained throughput.
 //
 // The request mix is heavy-tailed: ingests advance the stream by k
 // snapshots with P(k) ~ k^-1.5 (k in {1,2,3,4,6,8}), so occasional
@@ -199,21 +200,26 @@ PhaseStats run_phase(const Options& o, const std::vector<TenantInfo>& tenants,
               static_cast<std::uint64_t>(w) * 7919ull);
       const double thread_rate = rate_qps / workers;
       double next_arrival_s = 0;
-      while (phase.seconds() < duration_s) {
+      for (;;) {
+        // Closed loop times a request from its send. Open loop sends
+        // every arrival scheduled inside the phase, however late, and
+        // times it from that arrival.
+        double start_s = phase.seconds();
         if (rate_qps > 0) {
           // Poisson arrivals: exponential inter-arrival gaps.
           next_arrival_s +=
               -std::log(1.0 - rng.next_double()) / thread_rate;
+          if (next_arrival_s >= duration_s) break;
+          start_s = next_arrival_s;
           const double wait_s = next_arrival_s - phase.seconds();
-          if (wait_s >= duration_s) break;
           if (wait_s > 0) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(wait_s));
           }
-          if (phase.seconds() >= duration_s) break;
+        } else if (start_s >= duration_s) {
+          break;
         }
         const BuiltRequest req = build_request(rng, o, tenants);
-        const Stopwatch rtt;
         const auto res = http_post(o.host, static_cast<std::uint16_t>(o.port),
                                    req.path, req.body, o.timeout_ms);
         if (!res.ok || (res.status != 200 && res.status != 429)) {
@@ -224,7 +230,7 @@ PhaseStats run_phase(const Options& o, const std::vector<TenantInfo>& tenants,
                                : res.error)
                     << "\n";
         }
-        sink.record(rtt.millis(), res.status, res.ok);
+        sink.record((phase.seconds() - start_s) * 1e3, res.status, res.ok);
       }
     });
   }
@@ -402,21 +408,28 @@ int main(int argc, char** argv) {
       const PhaseStats s =
           run_phase(o, tenants, sink, qps, o.step_s, ++salt);
       steps.emplace_back(qps, s);
+      // A step keeps up when it answers >= 95% of the rate its schedule
+      // offered; the last replies may come up to the p99 target late.
+      const double offered = static_cast<double>(s.sent) / o.step_s;
+      const double answered =
+          static_cast<double>(s.ok + s.shed) /
+          std::max(o.step_s, s.elapsed_s - target_p99_ms * 1e-3);
       std::cerr << "saturate: " << qps << " qps -> p99 "
                 << s.lat_ms.p99() << " ms, shed " << 100 * s.shed_rate()
-                << "%\n";
+                << "%, answered " << answered << "/s of " << offered << "\n";
       total.sent += s.sent;
       total.ok += s.ok;
       total.shed += s.shed;
       total.errors += s.errors;
       total.elapsed_s += s.elapsed_s;
       const bool violated = s.lat_ms.p99() > target_p99_ms ||
-                            s.shed_rate() > o.max_shed_rate;
+                            s.shed_rate() > o.max_shed_rate ||
+                            answered < 0.95 * offered;
       if (violated) {
         saturated = true;
         break;
       }
-      max_sustained_qps = s.achieved_qps();
+      max_sustained_qps = answered;
       qps *= o.qps_factor;
     }
     // Aggregate latency over the last step for the headline quantiles.

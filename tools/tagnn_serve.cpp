@@ -36,7 +36,6 @@ struct Options {
   std::size_t stream_snapshots = 12;
   std::string model = "T-GCN";
   unsigned window = 4;
-  double batch_window_ms = 2.0;
   std::size_t max_batch = 8;
   std::size_t max_queue = 64;
   tagnn::serve::SloTargets slo;
@@ -54,8 +53,7 @@ int usage(const char* argv0) {
       << "  --stream-snapshots N generated stream length (default 12)\n"
       << "  --model NAME         CD-GCN|GC-LSTM|T-GCN (default T-GCN)\n"
       << "  --window N           engine window size (default 4)\n"
-      << "  --batch-window-ms X  batch coalescing window (default 2)\n"
-      << "  --max-batch N        max coalesced requests (default 8)\n"
+      << "  --max-batch N        max queued requests per dispatch (default 8)\n"
       << "  --max-queue N        per-tenant admission bound (default 64)\n"
       << "  --slo-p50-ms X --slo-p90-ms X --slo-p99-ms X\n"
       << "                       latency targets for /slo.json\n"
@@ -93,8 +91,6 @@ int main(int argc, char** argv) {
         o.model = value(i, a);
       } else if (a == "--window") {
         o.window = static_cast<unsigned>(std::stoul(value(i, a)));
-      } else if (a == "--batch-window-ms") {
-        o.batch_window_ms = std::stod(value(i, a));
       } else if (a == "--max-batch") {
         o.max_batch = std::stoul(value(i, a));
       } else if (a == "--max-queue") {
@@ -132,7 +128,6 @@ int main(int argc, char** argv) {
     cfg.max_queue = o.max_queue;
     po.serve.tenants.push_back(std::move(cfg));
   }
-  po.serve.batch_window_ms = o.batch_window_ms;
   po.serve.max_batch = o.max_batch;
   po.serve.slo = o.slo;
   po.live.port = o.port;
