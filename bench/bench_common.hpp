@@ -157,14 +157,38 @@ inline TimingStats timing_stats(const std::vector<double>& secs) {
   return st;
 }
 
+/// Shortest timed sample: a sample repeats `fn` until it lasts about
+/// this long, so a sub-millisecond kernel is not timed by a single pair
+/// of clock reads that one scheduler hiccup can double.
+inline constexpr double kMinSampleSec = 0.020;
+
+/// Calls of `fn` per sample for a sample of at least `min_sec`, from one
+/// timed (unreported) call.
+template <typename F>
+int reps_for(F&& fn, double min_sec) {
+  const double once = std::max(time_once(fn), 1e-9);
+  return once >= min_sec ? 1 : static_cast<int>(std::ceil(min_sec / once));
+}
+
+/// Wall time per call of `reps` back-to-back calls of `fn`, in seconds.
+template <typename F>
+double time_per_call(F&& fn, int reps) {
+  return time_once([&] {
+           for (int i = 0; i < reps; ++i) fn();
+         }) /
+         reps;
+}
+
 /// Runs `fn` `warmup` times unmeasured (touches code + data caches,
-/// spins up the thread pool), then `iters` measured times.
+/// spins up the thread pool), then takes `iters` samples of at least
+/// kMinSampleSec each; the stats are per call of `fn`.
 template <typename F>
 TimingStats time_median(F&& fn, int iters, int warmup = 1) {
   for (int i = 0; i < warmup; ++i) fn();
+  const int reps = reps_for(fn, kMinSampleSec);
   std::vector<double> secs;
   secs.reserve(static_cast<std::size_t>(iters));
-  for (int i = 0; i < iters; ++i) secs.push_back(time_once(fn));
+  for (int i = 0; i < iters; ++i) secs.push_back(time_per_call(fn, reps));
   return timing_stats(secs);
 }
 

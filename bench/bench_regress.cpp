@@ -229,9 +229,11 @@ Entry bench_engine(const Options& o, int iters) {
 // under the sampler, so the speedup sits at ~1.0 and the in-binary
 // check below enforces the documented promise directly: <= 1% median
 // overhead, plus a noise allowance derived from the measured MAD so a
-// loaded CI runner doesn't flake the gate. The two kinds of run
-// alternate per iteration, so a slow host period lands on both sides
-// instead of on one block of runs.
+// loaded CI runner doesn't flake the gate. One engine run is a few
+// milliseconds, so each sample repeats it for at least three sampler
+// intervals: a sample that contained no tick would measure nothing.
+// The two kinds of sample alternate, so a slow host period lands on
+// both sides instead of on one block of samples.
 Entry bench_engine_live_sampler(const Options& o, int iters) {
   iters = std::max(iters, 15);
   const bench::Workload wl = [&] {
@@ -255,15 +257,17 @@ Entry bench_engine_live_sampler(const Options& o, int iters) {
     counts = r.total_counts();
   };
   run();  // warm-up
-  obs::live::LiveSampler sampler({/*interval_ms=*/50, /*ring_capacity=*/64});
+  constexpr int kIntervalMs = 50;
+  const int reps = bench::reps_for(run, 3 * kIntervalMs / 1000.0);
+  obs::live::LiveSampler sampler({kIntervalMs, /*ring_capacity=*/64});
   std::vector<double> off, on;
   for (int i = 0; i < iters; ++i) {
-    off.push_back(bench::time_once(run));
+    off.push_back(bench::time_per_call(run, reps));
     // The sampler's synchronous first sample and thread start evict
     // the engine's data; one untimed run absorbs them.
     sampler.start();
     run();
-    on.push_back(bench::time_once(run));
+    on.push_back(bench::time_per_call(run, reps));
     sampler.stop();
   }
   e.naive = bench::timing_stats(off);

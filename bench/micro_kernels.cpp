@@ -1,17 +1,19 @@
 // Google-benchmark microbenchmarks of the hot kernels and storage
 // formats: per-snapshot neighbour traversal under CSR / PMA / O-CSR,
 // GCN layer forward, RNN cell updates (per vertex and the engine's
-// batched row paths), the Condense Unit, PMA updates. These complement
-// the figure benches with real wall-clock numbers for the library
-// itself.
+// batched row paths), accumulate-mode row GEMMs, the Condense Unit, PMA
+// updates. These complement the figure benches with real wall-clock
+// numbers for the library itself.
 #include <benchmark/benchmark.h>
 
+#include "common/thread_pool.hpp"
 #include "graph/datasets.hpp"
 #include "graph/formats.hpp"
 #include "nn/condense.hpp"
 #include "nn/gcn.hpp"
 #include "nn/rnn.hpp"
 #include "obs/metrics.hpp"
+#include "tensor/ops.hpp"
 
 namespace tagnn {
 namespace {
@@ -208,6 +210,42 @@ void BM_RnnDeltaUpdateRows(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRnnRows);
 }
 BENCHMARK(BM_RnnDeltaUpdateRows)->Arg(860)->Arg(2)->UseRealTime();
+
+// ops::gemm_rows on dense rows in 16-row blocks, as the RNN phase
+// drives it. Args: k x n of the gate panel (32 x 144 as T-GCN's Wx,
+// 80 x 192 as CD-GCN's) and the mode: 1 = accumulate (the zero-skip
+// micro_* kernels, as a full update's x-part onto the bias), 0 = the
+// register-tile kernels. One pool thread; gemm_rows itself is serial.
+void BM_GemmRows(benchmark::State& state) {
+  ScopedGlobalThreadPool pool(1);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const bool accumulate = state.range(2) != 0;
+  Rng rng(7);
+  const Matrix a = Matrix::random(kRnnRows, k, rng, 1.0f);
+  const Matrix b = Matrix::random(k, n, rng, 1.0f);
+  Matrix c(kRnnRows, n);
+  constexpr std::size_t kBlock = RnnCell::kBlockRows;
+  for (auto _ : state) {
+    for (std::size_t r0 = 0; r0 < kRnnRows; r0 += kBlock) {
+      const float* ar[kBlock];
+      float* cr[kBlock];
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        ar[i] = a.row(r0 + i).data();
+        cr[i] = c.row(r0 + i).data();
+      }
+      ops::gemm_rows({ar, kBlock}, b, {cr, kBlock}, accumulate);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRnnRows);
+}
+BENCHMARK(BM_GemmRows)
+    ->Args({32, 144, 1})
+    ->Args({80, 192, 1})
+    ->Args({32, 144, 0})
+    ->Args({80, 192, 0});
 
 void BM_PmaInsert(benchmark::State& state) {
   Rng rng(5);

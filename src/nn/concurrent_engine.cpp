@@ -15,6 +15,7 @@
 // software analogue of the accelerator's MSDL prefetch. Every overhead
 // artefact is a pure function of the immutable snapshots, so the
 // pipelined schedule is byte-identical to the serial one.
+#include <algorithm>
 #include <cstdint>
 #include <future>
 
@@ -75,22 +76,27 @@ WindowOverhead compute_overhead(const DynamicGraph& g, Window w,
 // the O-CSR streaming model: rows whose content is window-stable at
 // this layer are fetched once per window (window_seen), other rows once
 // per snapshot; repeated gathers hit the on-chip buffer. A per-snapshot
-// charge of a row that is bitwise identical to the previous snapshot's
-// is the residual redundancy TaGNN-S still pays (Fig. 8(b)).
+// charge of a row that is bitwise identical (std::equal's ==) to the
+// previous snapshot's input `prev_in` is the residual redundancy
+// TaGNN-S still pays (Fig. 8(b)); only such charged rows are compared,
+// and none when `prev_in` is null.
 //
-// `snap_stamp`/`epoch` replace the per-call seen-bitmap: a row counts
-// as gathered this call iff its stamp equals the caller's (fresh)
-// epoch, so the scratch is reused across every (layer, snapshot)
-// without clearing or reallocating.
+// When every row is computed (`compute_rows` null) every vertex
+// gathers at least itself, so the touched set is all of V and is
+// charged in O(n) without walking the edges. Otherwise the changed
+// rows' gathers are walked: `snap_stamp`/`epoch` replace a per-call
+// seen-bitmap (a row counts as gathered this call iff its stamp equals
+// the caller's fresh epoch), so the scratch is reused across every
+// (layer, snapshot) without clearing or reallocating.
 void charge_concurrent_traffic(const Snapshot& snap,
                                const std::vector<VertexId>* compute_rows,
                                const std::vector<bool>& stable_row,
-                               const std::vector<bool>* eq_prev,
+                               const Matrix& in, const Matrix* prev_in,
                                std::vector<bool>& window_seen,
                                std::vector<std::uint32_t>& snap_stamp,
-                               std::uint32_t epoch, std::size_t d_in,
-                               OpCounts& counts) {
+                               std::uint32_t epoch, OpCounts& counts) {
   const VertexId n = snap.num_vertices();
+  const std::size_t d_in = in.cols();
   double rows = 0, redundant = 0;
   auto touch = [&](VertexId u) {
     if (stable_row[u]) {
@@ -101,17 +107,19 @@ void charge_concurrent_traffic(const Snapshot& snap,
     } else if (snap_stamp[u] != epoch) {
       snap_stamp[u] = epoch;
       rows += 1;
-      if (eq_prev != nullptr && (*eq_prev)[u]) redundant += 1;
+      if (prev_in != nullptr) {
+        const float* x = in.row(u).data();
+        if (std::equal(x, x + d_in, prev_in->row(u).data())) redundant += 1;
+      }
     }
   };
-  auto gather = [&](VertexId v) {
-    touch(v);
-    for (VertexId u : snap.graph.neighbors(v)) touch(u);
-  };
   if (compute_rows != nullptr) {
-    for (const VertexId v : *compute_rows) gather(v);
+    for (const VertexId v : *compute_rows) {
+      touch(v);
+      for (VertexId u : snap.graph.neighbors(v)) touch(u);
+    }
   } else {
-    for (VertexId v = 0; v < n; ++v) gather(v);
+    for (VertexId v = 0; v < n; ++v) touch(v);
   }
   counts.feature_bytes += rows * static_cast<double>(d_in) * 4.0;
   counts.redundant_bytes += redundant * static_cast<double>(d_in) * 4.0;
@@ -242,17 +250,13 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
         if (opts_.gnn_reuse) {
           const std::vector<bool>& stable_row =
               (l == 0) ? cls.feature_stable : unchanged[l - 1];
-          std::vector<bool> eq;
-          const std::vector<bool>* eq_ptr = nullptr;
+          const Matrix* prev_in = nullptr;
           if (opts_.count_redundancy && tk > 0) {
-            const Matrix& prev_in =
-                (l == 0) ? g.snapshot(t - 1).features : cur[tk - 1];
-            eq = detail::rows_equal_mask(in, prev_in);
-            eq_ptr = &eq;
+            prev_in = (l == 0) ? &g.snapshot(t - 1).features : &cur[tk - 1];
           }
-          charge_concurrent_traffic(snap, compute_rows, stable_row, eq_ptr,
-                                    window_seen, snap_stamp, ++snap_epoch,
-                                    in.cols(), res.gnn_counts);
+          charge_concurrent_traffic(snap, compute_rows, stable_row, in,
+                                    prev_in, window_seen, snap_stamp,
+                                    ++snap_epoch, res.gnn_counts);
         }
       }
       std::swap(cur, nxt);
@@ -335,8 +339,10 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
       // Condense Unit thresholds the input + recurrent drift vs the last
       // applied values into small dense tiles (exact zeros mark
       // unchanged lanes), and both gate products run as GEMMs over the
-      // tiles. The skip classifier leaves the deltas mostly dense, so
-      // the GEMM beats per-lane axpy streaming.
+      // tiles. How dense the deltas are depends on the workload
+      // (ml-cdgcn keeps ~0.3% of its lanes, fk-tgcn ~86%), so each block
+      // picks the zero-skipping or the register-tile kernels from its
+      // own kept-lane count (RnnCell::kSparseBlockShare).
       cell.delta_update_rows(z, z_applied, h_applied, opts_.delta_eps,
                              delta_rows, st.h, st.c, st.cache,
                              res.rnn_counts);

@@ -21,6 +21,14 @@ struct BlockTiles {
   std::vector<float> x, h, dx, dh;
 };
 
+// Non-zero lanes of one delta row — the lanes dense_delta keeps —
+// counted without a data-dependent branch, so the loop vectorises.
+std::size_t nonzero_lanes(const float* r, std::size_t d) {
+  std::size_t nz = 0;
+  for (std::size_t j = 0; j < d; ++j) nz += r[j] != 0.0f ? 1 : 0;
+  return nz;
+}
+
 }  // namespace
 
 RnnCell::RnnCell(const DgnnWeights& weights)
@@ -125,12 +133,24 @@ void RnnCell::full_update(std::span<const float> x,
 // The batched paths walk their row list in blocks of kBlockRows. Per
 // block, `source` points ax/ah at the A rows of the two gate products
 // (z/h rows for a full update, delta rows for a delta update —
-// condensing them into the block's tiles first on the fused path);
-// both GEMMs then write L1-resident tiles through ops::gemm_rows, and
-// the tiles are folded into the cache rows before h/c are derived.
-// Blocks are independent (each reads and writes only its own rows), so
-// they run in parallel; a block's GEMMs read its h rows before any of
-// them is overwritten.
+// condensing them into the block's tiles first on the fused path) and
+// returns the block's kept (non-zero) delta lanes, or on the
+// matrix-input path enough of them to show the block is dense. Both
+// GEMMs then write L1-resident tiles through ops::gemm_rows, and the
+// tiles are folded into the cache rows before h/c are derived. Blocks
+// are independent (each reads and writes only its own rows), so they
+// run in parallel; a block's GEMMs read its h rows before any of them
+// is overwritten.
+//
+// A delta block with few kept lanes (see kSparseBlockShare) zero-fills
+// its tiles and accumulates into them through the zero-skipping
+// micro_* kernels, so it costs in proportion to its kept lanes; a
+// dense block keeps the register-tile kernels. Both give the same bits
+// as long as the weights are finite: a register tile starts at +0.0
+// and adds every k term, the skip path starts at +0.0 and leaves out
+// only terms whose A value is zero, and x + (+-0.0) == x for every
+// accumulator a +0.0-started sum can reach. A 0 * Inf weight would
+// make the tile NaN where the skip path is not.
 template <class Source>
 std::size_t RnnCell::update_blocks(std::span<const VertexId> rows, bool full,
                                    Matrix& h, Matrix& c, Matrix& cache,
@@ -153,16 +173,24 @@ std::size_t RnnCell::update_blocks(std::span<const VertexId> rows, bool full,
       const float* ah[kBlockRows];
       float* xt[kBlockRows];
       float* ht[kBlockRows];
-      kept += source(blk, t, ax, ah);
+      const std::size_t blk_kept = source(blk, t, ax, ah);
+      kept += blk_kept;
+      const bool sparse =
+          !full && kSparseBlockShare * blk_kept <= m * (dz_ + h_);
       for (std::size_t i = 0; i < m; ++i) {
         xt[i] = t.x.data() + i * gh;
         ht[i] = t.h.data() + i * gh;
         if (full) std::copy(bias, bias + gh, xt[i]);
+        if (sparse) {
+          std::fill(xt[i], xt[i] + gh, 0.0f);
+          std::fill(ht[i], ht[i] + gh, 0.0f);
+        }
       }
       // A full update's x-part accumulates onto the bias: the same
       // bias-first ascending-k order as the per-vertex gemv path.
-      ops::gemm_rows({ax, m}, w_.rnn_wx, {xt, m}, /*accumulate=*/full);
-      ops::gemm_rows({ah, m}, w_.rnn_wh, {ht, m});
+      ops::gemm_rows({ax, m}, w_.rnn_wx, {xt, m},
+                     /*accumulate=*/full || sparse);
+      ops::gemm_rows({ah, m}, w_.rnn_wh, {ht, m}, /*accumulate=*/sparse);
       for (std::size_t i = 0; i < m; ++i) {
         const auto v = static_cast<std::size_t>(blk[i]);
         const float* xp = xt[i];
@@ -268,11 +296,21 @@ void RnnCell::delta_update_rows(const Matrix& dx, const Matrix& dh,
   update_blocks(rows, /*full=*/false, h, c, cache,
                 [&](std::span<const VertexId> blk, BlockTiles&,
                     const float** ax, const float** ah) {
+                  // The count only feeds the sparse-block switch (the
+                  // caller charges total_nnz), so it stops once the
+                  // block is known to be dense.
+                  const std::size_t dense_at =
+                      blk.size() * (dz_ + h_) / kSparseBlockShare + 1;
+                  std::size_t kept = 0;
                   for (std::size_t i = 0; i < blk.size(); ++i) {
                     ax[i] = dx.row(blk[i]).data();
                     ah[i] = dh.row(blk[i]).data();
+                    if (kept < dense_at) {
+                      kept += nonzero_lanes(ax[i], dz_) +
+                              nonzero_lanes(ah[i], h_);
+                    }
                   }
-                  return std::size_t{0};
+                  return kept;
                 });
   charge_delta_rows(rows.size(), total_nnz, counts);
 }

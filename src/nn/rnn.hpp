@@ -70,6 +70,15 @@ class RnnCell {
   /// working set.
   static constexpr std::size_t kBlockRows = 16;
 
+  /// A delta block of m rows runs its gate products through the
+  /// zero-skipping accumulate kernels when its kept lanes number at
+  /// most 1/kSparseBlockShare of its m * (input_dim + H) lanes, and
+  /// through the register-tile kernels otherwise: the tiles win on
+  /// dense deltas (fk-tgcn keeps ~86% of its lanes), the skip path
+  /// costs in proportion to the kept lanes (ml-cdgcn keeps ~0.3%).
+  /// Both give the same bits for finite weights (see rnn.cpp).
+  static constexpr std::size_t kSparseBlockShare = 4;
+
   /// Delta update (DeltaRNN-style): folds the sparse input delta `dx`
   /// and the sparse recurrent delta `dh` (drift of h since the last
   /// update that refreshed the cache) into the cached pre-activations

@@ -20,8 +20,13 @@
 // and the call is not accumulating, the tile_* kernels hold a 4 x 16 C
 // tile in registers for the whole accumulation and store it once — no C
 // traffic inside the k loop. Deeper k and accumulate mode use the
-// streaming micro_* kernels, which fold into C's existing contents and
-// keep the same per-element evaluation order across panels.
+// micro_* kernels, which fold into C's existing contents: they skip
+// every k column whose A values are zero in all the rows they cover
+// (the AVX2 variant lists the kept columns once per call, then holds a
+// 4 x 16 C tile in registers across that list), so their cost follows
+// the non-zero A columns — the sparse RNN delta blocks run through them
+// for that reason. Per-element evaluation order stays ascending across
+// and within panels.
 //
 // Exactness: each C element accumulates its k terms in strictly
 // ascending order (pc panels ascend, k inside a panel ascends), the

@@ -23,7 +23,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/activation_math.hpp"
 
@@ -37,27 +39,58 @@ inline __m256 madd(__m256 acc, __m256 a, __m256 b) {
   return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
 }
 
+// Accumulate-mode kernels list their non-skipped k columns once per
+// call, then walk the panel kTileCols columns per pass over that list.
+// The list lives on the stack in chunks of kKeepChunk columns, so a
+// caller's GemmBlocking::kc of any size needs no heap; chunks ascend
+// and each element folds its kept terms in ascending k, exactly as the
+// scalar kernel does. kKeepChunk matches the default kc, so default
+// blocking takes one chunk per call.
+constexpr std::size_t kKeepChunk = 512;
+
 void micro_1row(const float* arow, const float* packed, std::size_t kcb,
                 std::size_t ncb, float* crow) {
-  std::size_t j = 0;
-  for (; j + 8 <= ncb; j += 8) {
-    __m256 acc = _mm256_loadu_ps(crow + j);
-    for (std::size_t kk = 0; kk < kcb; ++kk) {
-      const float aik = arow[kk];
-      if (aik == 0.0f) continue;
-      acc = madd(acc, _mm256_set1_ps(aik),
+  std::uint32_t keep[kKeepChunk];
+  for (std::size_t k0 = 0; k0 < kcb; k0 += kKeepChunk) {
+    const std::size_t k1 = std::min(kcb, k0 + kKeepChunk);
+    std::size_t nk = 0;
+    for (std::size_t kk = k0; kk < k1; ++kk) {
+      keep[nk] = static_cast<std::uint32_t>(kk);
+      nk += arow[kk] == 0.0f ? 0 : 1;  // same skip test as the scalar TU
+    }
+    if (nk == 0) continue;
+    std::size_t j = 0;
+    for (; j + kTileCols <= ncb; j += kTileCols) {
+      __m256 sa = _mm256_loadu_ps(crow + j);
+      __m256 sb = _mm256_loadu_ps(crow + j + 8);
+      for (std::size_t t = 0; t < nk; ++t) {
+        const std::size_t kk = keep[t];
+        const float* bk = packed + kk * ncb + j;
+        const __m256 x = _mm256_set1_ps(arow[kk]);
+        sa = madd(sa, x, _mm256_loadu_ps(bk));
+        sb = madd(sb, x, _mm256_loadu_ps(bk + 8));
+      }
+      _mm256_storeu_ps(crow + j, sa);
+      _mm256_storeu_ps(crow + j + 8, sb);
+    }
+    if (j + 8 <= ncb) {
+      __m256 s = _mm256_loadu_ps(crow + j);
+      for (std::size_t t = 0; t < nk; ++t) {
+        const std::size_t kk = keep[t];
+        s = madd(s, _mm256_set1_ps(arow[kk]),
                  _mm256_loadu_ps(packed + kk * ncb + j));
+      }
+      _mm256_storeu_ps(crow + j, s);
+      j += 8;
     }
-    _mm256_storeu_ps(crow + j, acc);
-  }
-  for (; j < ncb; ++j) {
-    float acc = crow[j];
-    for (std::size_t kk = 0; kk < kcb; ++kk) {
-      const float aik = arow[kk];
-      if (aik == 0.0f) continue;
-      acc += aik * packed[kk * ncb + j];
+    for (; j < ncb; ++j) {
+      float s = crow[j];
+      for (std::size_t t = 0; t < nk; ++t) {
+        const std::size_t kk = keep[t];
+        s += arow[kk] * packed[kk * ncb + j];
+      }
+      crow[j] = s;
     }
-    crow[j] = acc;
   }
 }
 
@@ -65,41 +98,84 @@ void micro_4row(const float* a0, const float* a1, const float* a2,
                 const float* a3, const float* packed, std::size_t kcb,
                 std::size_t ncb, float* c0, float* c1, float* c2,
                 float* c3) {
-  std::size_t j = 0;
-  for (; j + 8 <= ncb; j += 8) {
-    __m256 s0 = _mm256_loadu_ps(c0 + j);
-    __m256 s1 = _mm256_loadu_ps(c1 + j);
-    __m256 s2 = _mm256_loadu_ps(c2 + j);
-    __m256 s3 = _mm256_loadu_ps(c3 + j);
-    for (std::size_t kk = 0; kk < kcb; ++kk) {
-      const float x0 = a0[kk], x1 = a1[kk], x2 = a2[kk], x3 = a3[kk];
-      if (x0 == 0.0f && x1 == 0.0f && x2 == 0.0f && x3 == 0.0f) continue;
-      const __m256 b = _mm256_loadu_ps(packed + kk * ncb + j);
-      s0 = madd(s0, _mm256_set1_ps(x0), b);
-      s1 = madd(s1, _mm256_set1_ps(x1), b);
-      s2 = madd(s2, _mm256_set1_ps(x2), b);
-      s3 = madd(s3, _mm256_set1_ps(x3), b);
+  std::uint32_t keep[kKeepChunk];
+  for (std::size_t k0 = 0; k0 < kcb; k0 += kKeepChunk) {
+    const std::size_t k1 = std::min(kcb, k0 + kKeepChunk);
+    std::size_t nk = 0;
+    for (std::size_t kk = k0; kk < k1; ++kk) {
+      // Skipped only when all four rows hold a zero, as in the scalar TU.
+      const bool skip = a0[kk] == 0.0f && a1[kk] == 0.0f &&
+                        a2[kk] == 0.0f && a3[kk] == 0.0f;
+      keep[nk] = static_cast<std::uint32_t>(kk);
+      nk += skip ? 0 : 1;
     }
-    _mm256_storeu_ps(c0 + j, s0);
-    _mm256_storeu_ps(c1 + j, s1);
-    _mm256_storeu_ps(c2 + j, s2);
-    _mm256_storeu_ps(c3 + j, s3);
-  }
-  for (; j < ncb; ++j) {
-    float s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
-    for (std::size_t kk = 0; kk < kcb; ++kk) {
-      const float x0 = a0[kk], x1 = a1[kk], x2 = a2[kk], x3 = a3[kk];
-      if (x0 == 0.0f && x1 == 0.0f && x2 == 0.0f && x3 == 0.0f) continue;
-      const float bj = packed[kk * ncb + j];
-      s0 += x0 * bj;
-      s1 += x1 * bj;
-      s2 += x2 * bj;
-      s3 += x3 * bj;
+    if (nk == 0) continue;
+    std::size_t j = 0;
+    for (; j + kTileCols <= ncb; j += kTileCols) {
+      // 4 rows x 16 columns = 8 ymm accumulators across the kept list.
+      __m256 s0a = _mm256_loadu_ps(c0 + j), s0b = _mm256_loadu_ps(c0 + j + 8);
+      __m256 s1a = _mm256_loadu_ps(c1 + j), s1b = _mm256_loadu_ps(c1 + j + 8);
+      __m256 s2a = _mm256_loadu_ps(c2 + j), s2b = _mm256_loadu_ps(c2 + j + 8);
+      __m256 s3a = _mm256_loadu_ps(c3 + j), s3b = _mm256_loadu_ps(c3 + j + 8);
+      for (std::size_t t = 0; t < nk; ++t) {
+        const std::size_t kk = keep[t];
+        const float* bk = packed + kk * ncb + j;
+        const __m256 ba = _mm256_loadu_ps(bk);
+        const __m256 bb = _mm256_loadu_ps(bk + 8);
+        const __m256 x0 = _mm256_set1_ps(a0[kk]);
+        const __m256 x1 = _mm256_set1_ps(a1[kk]);
+        const __m256 x2 = _mm256_set1_ps(a2[kk]);
+        const __m256 x3 = _mm256_set1_ps(a3[kk]);
+        s0a = madd(s0a, x0, ba);
+        s0b = madd(s0b, x0, bb);
+        s1a = madd(s1a, x1, ba);
+        s1b = madd(s1b, x1, bb);
+        s2a = madd(s2a, x2, ba);
+        s2b = madd(s2b, x2, bb);
+        s3a = madd(s3a, x3, ba);
+        s3b = madd(s3b, x3, bb);
+      }
+      _mm256_storeu_ps(c0 + j, s0a);
+      _mm256_storeu_ps(c0 + j + 8, s0b);
+      _mm256_storeu_ps(c1 + j, s1a);
+      _mm256_storeu_ps(c1 + j + 8, s1b);
+      _mm256_storeu_ps(c2 + j, s2a);
+      _mm256_storeu_ps(c2 + j + 8, s2b);
+      _mm256_storeu_ps(c3 + j, s3a);
+      _mm256_storeu_ps(c3 + j + 8, s3b);
     }
-    c0[j] = s0;
-    c1[j] = s1;
-    c2[j] = s2;
-    c3[j] = s3;
+    if (j + 8 <= ncb) {
+      __m256 s0 = _mm256_loadu_ps(c0 + j), s1 = _mm256_loadu_ps(c1 + j);
+      __m256 s2 = _mm256_loadu_ps(c2 + j), s3 = _mm256_loadu_ps(c3 + j);
+      for (std::size_t t = 0; t < nk; ++t) {
+        const std::size_t kk = keep[t];
+        const __m256 b = _mm256_loadu_ps(packed + kk * ncb + j);
+        s0 = madd(s0, _mm256_set1_ps(a0[kk]), b);
+        s1 = madd(s1, _mm256_set1_ps(a1[kk]), b);
+        s2 = madd(s2, _mm256_set1_ps(a2[kk]), b);
+        s3 = madd(s3, _mm256_set1_ps(a3[kk]), b);
+      }
+      _mm256_storeu_ps(c0 + j, s0);
+      _mm256_storeu_ps(c1 + j, s1);
+      _mm256_storeu_ps(c2 + j, s2);
+      _mm256_storeu_ps(c3 + j, s3);
+      j += 8;
+    }
+    for (; j < ncb; ++j) {
+      float s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
+      for (std::size_t t = 0; t < nk; ++t) {
+        const std::size_t kk = keep[t];
+        const float bj = packed[kk * ncb + j];
+        s0 += a0[kk] * bj;
+        s1 += a1[kk] * bj;
+        s2 += a2[kk] * bj;
+        s3 += a3[kk] * bj;
+      }
+      c0[j] = s0;
+      c1[j] = s1;
+      c2[j] = s2;
+      c3[j] = s3;
+    }
   }
 }
 

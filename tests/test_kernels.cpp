@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -432,6 +433,116 @@ TEST(KernelRegistry, IsaSweepSpmmBitExact) {
   EXPECT_TRUE(bytes_equal(run("scalar"), run("avx2")));
 }
 
+// ---------- accumulate-mode micro-kernels: AVX2 vs scalar ----------
+
+// One accumulate-mode call's operands: four A rows of kcb values, a
+// (kcb x ncb) packed panel and four C rows of ncb values. A column k is
+// zero in (k % 5) of the four rows, so the cases cover columns zero in
+// 0, 1, 2, 3 and all 4 rows; C carries -0.0 entries.
+struct MicroCase {
+  MicroCase(std::size_t kcb_, std::size_t ncb_, std::uint64_t seed)
+      : kcb(kcb_), ncb(ncb_), a(4 * kcb_), b(kcb_ * ncb_), c(4 * ncb_) {
+    Rng rng(seed);
+    for (float& x : a) x = rng.normal();
+    for (float& x : b) x = rng.normal();
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      c[i] = i % 7 == 3 ? -0.0f : rng.normal();
+    }
+    for (std::size_t k = 0; k < kcb; ++k) {
+      for (std::size_t r = 0; r < k % 5; ++r) a[r * kcb + k] = 0.0f;
+    }
+  }
+
+  // Runs micro_4row, or micro_1row on each row, of `isa` on a copy of C.
+  std::vector<float> run(kernels::Isa isa, bool four) const {
+    const kernels::GemmMicroKernels& mk = kernels::registry().gemm(isa);
+    std::vector<float> out = c;
+    const float* ar[4];
+    float* cr[4];
+    for (std::size_t r = 0; r < 4; ++r) {
+      ar[r] = a.data() + r * kcb;
+      cr[r] = out.data() + r * ncb;
+    }
+    if (four) {
+      mk.micro_4row(ar[0], ar[1], ar[2], ar[3], b.data(), kcb, ncb, cr[0],
+                    cr[1], cr[2], cr[3]);
+    } else {
+      for (std::size_t r = 0; r < 4; ++r) {
+        mk.micro_1row(ar[r], b.data(), kcb, ncb, cr[r]);
+      }
+    }
+    return out;
+  }
+
+  std::size_t kcb, ncb;
+  std::vector<float> a, b, c;
+};
+
+// Every ncb straddles the 8- and 16-column passes; kcb runs up to and
+// past the AVX2 kernel's 512-column stack chunk.
+TEST(MicroKernels, AccumulateIsaSweepIsBitExact) {
+  if (!kernels::CpuFeatures::host().avx2) {
+    GTEST_SKIP() << "host has no AVX2; scalar is the only variant";
+  }
+  for (const std::size_t ncb : {1, 7, 8, 15, 16, 17, 33, 144, 192}) {
+    for (const std::size_t kcb : {1, 4, 5, 31, 511, 512, 513, 1100}) {
+      const MicroCase mc(kcb, ncb, kcb * 1000 + ncb);
+      for (const bool four : {true, false}) {
+        EXPECT_TRUE(bytes_equal(mc.run(kernels::Isa::kScalar, four),
+                                mc.run(kernels::Isa::kAvx2, four)))
+            << "kcb " << kcb << " ncb " << ncb << " four " << four;
+      }
+    }
+  }
+}
+
+// A column that is zero in every row is skipped, so an Inf under it in
+// B never turns into 0 * Inf = NaN; a NaN in A propagates to its row
+// only. Both ISAs must agree bit for bit.
+TEST(MicroKernels, AccumulateSkipsInfUnderZeroColumnAndPropagatesNaN) {
+  if (!kernels::CpuFeatures::host().avx2) {
+    GTEST_SKIP() << "host has no AVX2; scalar is the only variant";
+  }
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const std::size_t ncb : {7, 16, 33, 144}) {
+    MicroCase mc(40, ncb, 17 + ncb);
+    const std::size_t zero_col = 4;  // 4 % 5 == 4: zero in all four rows
+    for (std::size_t j = 0; j < ncb; ++j) mc.b[zero_col * ncb + j] = kInf;
+    for (const bool four : {true, false}) {
+      const std::vector<float> want = mc.run(kernels::Isa::kScalar, four);
+      EXPECT_TRUE(bytes_equal(want, mc.run(kernels::Isa::kAvx2, four)));
+      for (const float x : want) EXPECT_TRUE(std::isfinite(x));
+    }
+    mc.a[2 * mc.kcb + 11] = std::numeric_limits<float>::quiet_NaN();
+    for (const bool four : {true, false}) {
+      const std::vector<float> want = mc.run(kernels::Isa::kScalar, four);
+      EXPECT_TRUE(bytes_equal(want, mc.run(kernels::Isa::kAvx2, four)));
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(std::isnan(want[i]), i / ncb == 2) << "ncb " << ncb;
+      }
+    }
+  }
+}
+
+// A caller kc above the stack chunk hands the kernels kcb > 512 per
+// panel; accumulate-mode ops::gemm must still match across ISAs.
+TEST(MicroKernels, AccumulateGemmWithLargeKcIsBitExact) {
+  if (!kernels::CpuFeatures::host().avx2) {
+    GTEST_SKIP() << "host has no AVX2; scalar is the only variant";
+  }
+  const Matrix a = rand_mat(11, 1100, 71, 0.6f);
+  const Matrix b = rand_mat(1100, 40, 72);
+  auto run = [&](const char* cap) {
+    ScopedIsa isa(cap);
+    EXPECT_TRUE(isa.ok) << isa.error;
+    Matrix c(11, 40);
+    c.fill(-0.0f);
+    ops::gemm(a, b, c, {.blocking = {.kc = 1100}, .accumulate = true});
+    return c;
+  };
+  EXPECT_TRUE(bytes_equal(run("scalar"), run("avx2")));
+}
+
 // ---------- ops::gemm_rows vs ops::gemm ----------
 
 // The row-pointer form shares ops::gemm's panel walk and dispatch; with
@@ -815,6 +926,96 @@ TEST(RnnBatch, FusedCondenseMatchesDenseDeltaThenRows) {
     EXPECT_TRUE(bytes_equal(ha_want, ha_got));
     EXPECT_TRUE(counts_equal(counts_want, counts_got));
   });
+}
+
+// Delta blocks pick the zero-skipping accumulate kernels or the
+// register tiles from their kept-lane count; both must give the bytes
+// of the staged (register-tile) composition. Densities straddle the
+// switch (RnnCell::kSparseBlockShare), 1.0 feeds the matrix-input entry
+// fully dense rows, zero lanes alternate +0.0 and -0.0, and a share of
+// the cache entries is -0.0; kRowCounts ends blocks partway.
+TEST(RnnBatch, SparseAndDenseDeltaBlocksMatchStagedComposition) {
+  for_each_rnn_config([](const char* preset, std::size_t num_rows) {
+    RnnRowsFixture f(preset, num_rows);
+    for (std::size_t i = 0; i < f.cache.size(); i += 5) {
+      f.cache.data()[i] = -0.0f;
+    }
+    for (const double density : {0.0, 0.01, 0.1, 0.24, 0.3, 0.6, 1.0}) {
+      Rng rng(static_cast<std::uint64_t>(density * 1000) + num_rows);
+      Matrix dx(f.n, f.cell.input_dim()), dh(f.n, f.cell.hidden());
+      for (Matrix* m : {&dx, &dh}) {
+        for (std::size_t i = 0; i < m->size(); ++i) {
+          m->data()[i] = rng.chance(density) ? rng.normal()
+                                             : (i % 2 == 0 ? 0.0f : -0.0f);
+        }
+      }
+      Matrix h_want = f.h, c_want = f.c, cache_want = f.cache;
+      f.staged_delta(dx, dh, h_want, c_want, cache_want);
+
+      Matrix h_got = f.h, c_got = f.c, cache_got = f.cache;
+      OpCounts counts_got;
+      f.cell.delta_update_rows(dx, dh, f.rows, /*total_nnz=*/1.0, h_got,
+                               c_got, cache_got, counts_got);
+      EXPECT_TRUE(bytes_equal(h_want, h_got)) << "density " << density;
+      EXPECT_TRUE(bytes_equal(c_want, c_got)) << "density " << density;
+      EXPECT_TRUE(bytes_equal(cache_want, cache_got))
+          << "density " << density;
+    }
+  });
+}
+
+// Which kernel a delta block ran is visible through a weight row of
+// Inf under an input lane that is zero in every row: the register tile
+// computes 0 * Inf = NaN into the cache, the skip path leaves the lane
+// out. So a 16-row block keeping kSparseBlockShare-th of its lanes must
+// stay finite and one more kept lane must not — through both entries,
+// with the kept lanes counted from the rows themselves.
+TEST(RnnBatch, DeltaBlockKernelFollowsKeptLanes) {
+  for (const char* preset : {"T-GCN", "CD-GCN"}) {
+    DgnnWeights w = DgnnWeights::init(ModelConfig::preset(preset), 12, 7);
+    for (std::size_t j = 0; j < w.rnn_wx.cols(); ++j) {
+      w.rnn_wx(0, j) = std::numeric_limits<float>::infinity();
+    }
+    const RnnCell cell(w);
+    const std::size_t m = RnnCell::kBlockRows;
+    const std::size_t dz = cell.input_dim();
+    const std::size_t limit = m * (dz + cell.hidden()) /
+                              RnnCell::kSparseBlockShare;
+    std::vector<VertexId> rows;
+    for (VertexId v = 0; v < m; ++v) rows.push_back(v);
+    const Matrix z = rand_mat(m, dz, 31);
+    const Matrix h0 = rand_mat(m, cell.hidden(), 32);
+    const Matrix c0 = rand_mat(m, cell.cell_state_dim(), 33);
+    const Matrix cache0 = rand_mat(m, cell.cache_dim(), 34);
+    for (const std::size_t kept : {limit, limit + 1}) {
+      // `kept` drifted lanes spread over input lanes 1..dz-1.
+      Matrix dx(m, dz), dh(m, cell.hidden()), z_applied = z;
+      for (std::size_t i = 0; i < kept; ++i) {
+        const std::size_t v = i % m, j = 1 + i / m;
+        ASSERT_LT(j, dz);
+        dx(v, j) = 1.0f;
+        z_applied(v, j) = z(v, j) - 1.0f;
+      }
+      const bool sparse = kept == limit;
+      auto no_nan = [](const Matrix& a) {
+        return std::all_of(a.data(), a.data() + a.size(),
+                           [](float x) { return !std::isnan(x); });
+      };
+      Matrix h = h0, c = c0, cache = cache0;
+      OpCounts counts;
+      cell.delta_update_rows(dx, dh, rows, static_cast<double>(kept), h, c,
+                             cache, counts);
+      EXPECT_EQ(no_nan(cache), sparse) << preset << " kept " << kept;
+
+      Matrix h2 = h0, c2 = c0, cache2 = cache0, za = z_applied;
+      Matrix ha = h0;
+      OpCounts counts2;
+      cell.delta_update_rows(z, za, ha, /*eps=*/0.01f, rows, h2, c2, cache2,
+                             counts2);
+      EXPECT_EQ(no_nan(cache2), sparse) << preset << " fused kept " << kept;
+      EXPECT_EQ(counts2.delta_nnz, static_cast<double>(kept));
+    }
+  }
 }
 
 // ---------- forced-scalar engine equivalence ----------

@@ -8,10 +8,12 @@
 #include <tuple>
 
 #include "graph/affected_subgraph.hpp"
+#include "graph/classify.hpp"
 #include "graph/datasets.hpp"
 #include "graph/formats.hpp"
 #include "graph/ocsr.hpp"
 #include "nn/engine.hpp"
+#include "nn/gcn.hpp"
 #include "param_names.hpp"
 #include "tagnn/dispatcher.hpp"
 #include "tensor/ops.hpp"
@@ -122,6 +124,108 @@ TEST_P(ExactnessWindowSweep, GnnReuseIsLosslessForAnyWindow) {
 INSTANTIATE_TEST_SUITE_P(Windows, ExactnessWindowSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 9),
                          ::testing::PrintToStringParamName());
+
+// ---------- concurrent traffic accounting vs a per-edge recount ----------
+
+// The engine charges its GNN-phase feature traffic without walking the
+// edges of a fully computed snapshot and compares rows with the previous
+// snapshot only where it charges them. The oracle below walks every
+// gather of every computed row edge by edge and compares every charged
+// row: window-stable rows once per (window, layer), other rows once per
+// snapshot, redundant when bitwise equal (==) to the previous
+// snapshot's layer input.
+struct TrafficTally {
+  double feature_bytes = 0;
+  double redundant_bytes = 0;
+};
+
+TrafficTally recount_gnn_traffic(const DynamicGraph& g, const DgnnWeights& w,
+                                 SnapshotId window, bool count_redundancy) {
+  const VertexId n = g.num_vertices();
+  const auto total = static_cast<SnapshotId>(g.num_snapshots());
+  const std::size_t layers = w.config.gnn_layers;
+  // Layer inputs per snapshot, computed in full: reuse is lossless, so
+  // they equal the engine's activations.
+  std::vector<std::vector<Matrix>> in(layers, std::vector<Matrix>(total));
+  for (SnapshotId t = 0; t < total; ++t) {
+    Matrix x = g.snapshot(t).features;
+    for (std::size_t l = 0; l < layers; ++l) {
+      in[l][t] = x;
+      GcnForwardOptions fwd;
+      fwd.relu_output = l + 1 < layers;
+      OpCounts unused;
+      gcn_layer_forward(g.snapshot(t), in[l][t], w.gnn[l], fwd, x, unused);
+    }
+  }
+  TrafficTally tally;
+  for (SnapshotId start = 0; start < total; start += window) {
+    const Window win{start, std::min<SnapshotId>(window, total - start)};
+    const WindowClassification cls = classify_window(g, win);
+    const auto unchanged = unchanged_per_layer(g, win, cls, layers);
+    for (std::size_t l = 0; l < layers; ++l) {
+      const std::vector<bool>& stable =
+          l == 0 ? cls.feature_stable : unchanged[l - 1];
+      const std::size_t d_in = in[l][0].cols();
+      std::vector<bool> window_seen(n, false);
+      for (SnapshotId tk = 0; tk < win.length; ++tk) {
+        const SnapshotId t = start + tk;
+        std::vector<bool> snap_seen(n, false);
+        double rows = 0, redundant = 0;
+        auto gather = [&](VertexId u) {
+          std::vector<bool>& seen = stable[u] ? window_seen : snap_seen;
+          if (seen[u]) return;
+          seen[u] = true;
+          rows += 1;
+          if (!stable[u] && count_redundancy && tk > 0) {
+            const auto a = in[l][t].row(u);
+            const auto b = in[l][t - 1].row(u);
+            if (std::equal(a.begin(), a.end(), b.begin())) redundant += 1;
+          }
+        };
+        for (VertexId v = 0; v < n; ++v) {
+          if (tk > 0 && unchanged[l][v]) continue;  // copied, not computed
+          gather(v);
+          for (const VertexId u : g.snapshot(t).graph.neighbors(v)) gather(u);
+        }
+        tally.feature_bytes += rows * static_cast<double>(d_in) * 4.0;
+        tally.redundant_bytes += redundant * static_cast<double>(d_in) * 4.0;
+      }
+    }
+  }
+  return tally;
+}
+
+class TrafficRecount
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+
+TEST_P(TrafficRecount, GnnTrafficMatchesPerEdgeRecount) {
+  const auto [ds, k] = GetParam();
+  const DynamicGraph g = datasets::load(ds, 0.1, 6);
+  const DgnnWeights w =
+      DgnnWeights::init(ModelConfig::preset("CD-GCN"), g.feature_dim(), 3);
+  for (const bool count_redundancy : {true, false}) {
+    EngineOptions opts;
+    opts.window_size = static_cast<SnapshotId>(k);
+    opts.count_redundancy = count_redundancy;
+    opts.store_outputs = false;
+    const EngineResult r = ConcurrentEngine(opts).run(g, w);
+    const TrafficTally want =
+        recount_gnn_traffic(g, w, opts.window_size, count_redundancy);
+    EXPECT_EQ(r.gnn_counts.feature_bytes, want.feature_bytes)
+        << "count_redundancy " << count_redundancy;
+    EXPECT_EQ(r.gnn_counts.redundant_bytes, want.redundant_bytes)
+        << "count_redundancy " << count_redundancy;
+    if (!count_redundancy) {
+      EXPECT_EQ(r.gnn_counts.redundant_bytes, 0.0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DatasetsAndWindows, TrafficRecount,
+    ::testing::Combine(::testing::Values("HP", "GT", "ML", "EP", "FK"),
+                       ::testing::Values(1, 2, 4)),
+    test::DatasetWindowName());
 
 // ---------- dispatcher properties ----------
 
